@@ -30,7 +30,6 @@ from .formats import (
     save_checkpoint,
 )
 from .graphs import MODES, build_bipartite, spectral_gaps
-from .linalg import sym_eigenvalues
 from .nets import LSTM, PruneMask, evaluate, init_params, train
 from .pruning import (
     GAP_KINDS,
@@ -40,7 +39,12 @@ from .pruning import (
     run_imp,
 )
 from .svgplot import render_trajectory
-from .unrolled import UnrolledSpec, build_unrolled, closed_form_spectrum, unrolled_gap_report
+from .unrolled import UnrolledSpec, closed_form_spectrum, unrolled_gap_report, unrolled_spectrum
+
+# No command calls these any more, but benchmarks/tracing.py patches both
+# names in this module, so they stay importable from it.
+from .linalg import sym_eigenvalues  # noqa: F401
+from .unrolled import build_unrolled  # noqa: F401
 
 _LAYER_FLAGS = {"wxh": ("w_xh",), "whh": ("w_hh",), "all": LAYERS}
 _MODE_FLAGS = {"weighted": ("weighted",), "unweighted": ("unweighted",), "both": MODES}
@@ -221,7 +225,7 @@ def cmd_unroll(args) -> int:
     path = _require_file(args.path)
     B = load_matrix_text(path)
     spec = UnrolledSpec(B, args.k)
-    spectrum = sym_eigenvalues(build_unrolled(spec))
+    spectrum = unrolled_spectrum(spec)
     out = {
         "source": path,
         "k": args.k,

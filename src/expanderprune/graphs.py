@@ -7,7 +7,8 @@ support indicator (unweighted mode).  From that graph we compute:
 * the top two singular values sigma1 >= sigma2, which are the two
   largest adjacency eigenvalues of the bipartite graph,
 * degree statistics (average, max, min positive, isolated count),
-* alpha2, the second-smallest normalized-Laplacian eigenvalue,
+* alpha2, the second-smallest normalized-Laplacian eigenvalue, from the
+  singular values of the degree-normalized block,
 * two-sided Cheeger bounds h^2/2 <= alpha2 <= 2h on the edge Cheeger
   constant h,
 * the normalized spectral gaps
@@ -15,7 +16,13 @@ support indicator (unweighted mode).  From that graph we compute:
       delta_R = (2*sqrt(d_avg - 1) - lambda2) / lambda2      (unweighted)
       delta_S = (2*sqrt(lambda1 - 1) - lambda2) / lambda2
 
-  whose positivity is the Ramanujan-style expansion criterion.
+  whose positivity is the Ramanujan-style expansion criterion; lambda2
+  at or below numpy's rank tolerance lambda1 * max(m, n) * eps counts
+  as zero and gives +inf.
+
+Every layer-graph spectrum is a dense SVD of its m x n block; the
+(m+n)^2 adjacency and Laplacian are never formed.
+normalized_laplacian_eigenvalues remains for general graphs.
 
 Exact brute-force Cheeger constants (vertex and edge) are provided for
 small graphs so every spectral bound can be validated against subset
@@ -30,14 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGraphError, DomainError, ShapeError, SizeError
-from .linalg import as_dense_matrix, bipartite_adjacency, top_two_singular_values
+from .linalg import as_dense_matrix, bipartite_spectrum, top_two_singular_values
 
 WEIGHTED = "weighted"
 UNWEIGHTED = "unweighted"
 MODES = (WEIGHTED, UNWEIGHTED)
 
-# lambda2 below this is treated as zero: the gap is +inf, not a division blowup.
-LAMBDA2_FLOOR = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 
 _BRUTE_FORCE_CAP = 20
 
@@ -57,10 +63,6 @@ class BipartiteGraph:
     @property
     def right_size(self) -> int:
         return self.biadjacency.shape[1]
-
-    def adjacency(self) -> np.ndarray:
-        """Full (m+n) x (m+n) symmetric adjacency [[0, B], [B^T, 0]]."""
-        return bipartite_adjacency(self.biadjacency)
 
 
 @dataclass(frozen=True)
@@ -146,14 +148,15 @@ def degree_stats(g: BipartiteGraph) -> DegreeStats:
     )
 
 
-def _gap(base: float, lambda2: float) -> float:
+def _gap(base: float, lambda2: float, lambda2_floor: float) -> float:
     """(2*sqrt(base - 1) - lambda2) / lambda2 with the degenerate branches.
 
-    lambda2 ~ 0 means the graph is as spread out as possible: +inf.
-    base < 1 means the graph is too sparse for the radical: the radical
-    term is taken as 0 and the gap collapses to -1.
+    lambda2 <= lambda2_floor means lambda2 is numerically zero and the
+    graph is as spread out as possible: +inf.  base < 1 means the graph
+    is too sparse for the radical: the radical term is taken as 0 and
+    the gap collapses to -1.
     """
-    if lambda2 < LAMBDA2_FLOOR:
+    if lambda2 <= lambda2_floor:
         return math.inf
     radicand = base - 1.0
     radical = 2.0 * math.sqrt(radicand) if radicand > 0.0 else 0.0
@@ -161,11 +164,14 @@ def _gap(base: float, lambda2: float) -> float:
 
 
 def _assemble_report(mode: str, lambda1: float, lambda2: float,
-                     d_avg: float, alpha2: float) -> SpectralReport:
+                     d_avg: float, alpha2: float, shape: tuple[int, int]) -> SpectralReport:
+    """Report from the spectral terms of a biadjacency block of the given shape."""
     lower, upper = cheeger_bounds(alpha2)
-    delta_s = _gap(lambda1, lambda2)
+    # numpy's matrix_rank tolerance: sigma2 at or below it is rounding noise
+    floor = lambda1 * max(shape) * _EPS
+    delta_s = _gap(lambda1, lambda2, floor)
     if mode == UNWEIGHTED:
-        delta_r = _gap(d_avg, lambda2)
+        delta_r = _gap(d_avg, lambda2, floor)
         ramanujan = delta_r >= 0.0
     else:
         delta_r = None
@@ -191,7 +197,7 @@ def spectral_gaps(g: BipartiteGraph) -> SpectralReport:
     s1, s2, _ = top_two_singular_values(g.biadjacency)
     stats = degree_stats(g)
     alpha2 = normalized_laplacian_alpha2(g)
-    return _assemble_report(g.mode, s1, s2, stats.d_avg, alpha2)
+    return _assemble_report(g.mode, s1, s2, stats.d_avg, alpha2, g.biadjacency.shape)
 
 
 def normalized_laplacian_eigenvalues(adjacency: np.ndarray) -> np.ndarray:
@@ -214,9 +220,26 @@ def normalized_laplacian_eigenvalues(adjacency: np.ndarray) -> np.ndarray:
     return np.clip(eigs, 0.0, 2.0)
 
 
+def bipartite_alpha2(B: np.ndarray) -> float:
+    """Second-smallest normalized-Laplacian eigenvalue of a bipartite graph.
+
+    With isolated rows and columns dropped from the biadjacency B, the
+    normalized adjacency D^{-1/2} A D^{-1/2} is the bipartite adjacency
+    of N = D_L^{-1/2} B D_R^{-1/2}, so alpha2 is 1 minus the second entry
+    of bipartite_spectrum(N): one SVD of the block, no (m+n)^2 matrix.
+    """
+    row_deg, col_deg = B.sum(axis=1), B.sum(axis=0)
+    rows, cols = row_deg > 0, col_deg > 0
+    if int(rows.sum() + cols.sum()) < 2:
+        raise DegenerateGraphError("fewer than 2 non-isolated vertices")
+    N = (B[np.ix_(rows, cols)] / np.sqrt(row_deg[rows])[:, None]
+         / np.sqrt(col_deg[cols])[None, :])
+    return float(np.clip(1.0 - bipartite_spectrum(N)[1], 0.0, 2.0))
+
+
 def normalized_laplacian_alpha2(g: BipartiteGraph) -> float:
     """Second-smallest normalized-Laplacian eigenvalue of the layer graph."""
-    return float(normalized_laplacian_eigenvalues(g.adjacency())[1])
+    return bipartite_alpha2(g.biadjacency)
 
 
 def cheeger_bounds(alpha2: float) -> tuple[float, float]:
@@ -227,12 +250,8 @@ def cheeger_bounds(alpha2: float) -> tuple[float, float]:
     return alpha2 / 2.0, math.sqrt(2.0 * alpha2)
 
 
-def _subset_scan(adjacency: np.ndarray, boundary_fn) -> float:
-    """Minimum of boundary_fn(X)/|X| over non-empty X with |X| <= |V|/2.
-
-    Subsets are enumerated in chunks so even the 20-vertex cap stays
-    within a few megabytes of working memory.
-    """
+def _unit_adjacency(adjacency) -> np.ndarray:
+    """0/1 loop-free adjacency of a square input within the brute-force cap."""
     A = as_dense_matrix(adjacency)
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"adjacency is not square: shape {A.shape}")
@@ -241,21 +260,35 @@ def _subset_scan(adjacency: np.ndarray, boundary_fn) -> float:
         raise SizeError(f"brute force capped at {_BRUTE_FORCE_CAP} vertices, got {n}")
     adj = (A != 0).astype(np.float64)
     np.fill_diagonal(adj, 0.0)
+    return adj
+
+
+def _subset_scan(n: int, ratio_fn) -> float:
+    """Minimum of ratio_fn(member) over non-empty X with |X| <= n/2.
+
+    member[s, v] = 1 if vertex v lies in subset s; ratio_fn returns one
+    ratio per subset it can score (it may drop subsets whose denominator
+    vanishes).  Subsets are enumerated in chunks so even the 20-vertex
+    cap stays within a few megabytes of working memory.
+    """
     shifts = np.arange(n, dtype=np.uint32)[None, :]
     best = math.inf
     chunk = 1 << 16
     for start in range(1, 1 << n, chunk):
         subsets = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-        # member[s, v] = 1 if vertex v lies in subset s
         member = ((subsets[:, None] >> shifts) & 1).astype(np.float64)
-        sizes = member.sum(axis=1)
-        eligible = sizes <= n // 2
-        if not eligible.any():
+        member = member[member.sum(axis=1) <= n // 2]
+        if not member.size:
             continue
-        member = member[eligible]
-        ratios = boundary_fn(adj, member) / sizes[eligible]
-        best = min(best, float(ratios.min()))
+        ratios = ratio_fn(member)
+        if ratios.size:
+            best = min(best, float(ratios.min()))
     return best
+
+
+def _edge_boundary(adj: np.ndarray, member: np.ndarray) -> np.ndarray:
+    # edges from X to its complement: sum over v in X of neighbors outside X
+    return ((member @ adj) * (1.0 - member)).sum(axis=1)
 
 
 def edge_cheeger_bruteforce(adjacency) -> float:
@@ -264,22 +297,20 @@ def edge_cheeger_bruteforce(adjacency) -> float:
     Exponential subset enumeration; inputs are capped at 20 vertices.
     Edges are counted unweighted (any nonzero entry is one edge).
     """
-
-    def edge_boundary(adj, member):
-        # edges from X to its complement: sum over v in X of neighbors outside X
-        return ((member @ adj) * (1.0 - member)).sum(axis=1)
-
-    return _subset_scan(adjacency, edge_boundary)
+    adj = _unit_adjacency(adjacency)
+    return _subset_scan(adj.shape[0],
+                        lambda member: _edge_boundary(adj, member) / member.sum(axis=1))
 
 
 def vertex_cheeger_bruteforce(adjacency) -> float:
     """Exact vertex Cheeger constant min |outer vertex boundary| / |X|."""
+    adj = _unit_adjacency(adjacency)
 
-    def vertex_boundary(adj, member):
+    def vertex_ratio(member):
         touched = (member @ adj) > 0  # vertex u has a neighbor inside X
-        return (touched & (member == 0)).sum(axis=1)
+        return (touched & (member == 0)).sum(axis=1) / member.sum(axis=1)
 
-    return _subset_scan(adjacency, vertex_boundary)
+    return _subset_scan(adj.shape[0], vertex_ratio)
 
 
 def edge_conductance_bruteforce(adjacency) -> float:
@@ -291,37 +322,18 @@ def edge_conductance_bruteforce(adjacency) -> float:
     edge_cheeger_bruteforce does not satisfy that sandwich on irregular
     graphs; K5 is a counterexample.)
     """
-    A = as_dense_matrix(adjacency)
-    if A.shape[0] != A.shape[1]:
-        raise ShapeError(f"adjacency is not square: shape {A.shape}")
-    n = A.shape[0]
-    if n > _BRUTE_FORCE_CAP:
-        raise SizeError(f"brute force capped at {_BRUTE_FORCE_CAP} vertices, got {n}")
-    adj = (A != 0).astype(np.float64)
-    np.fill_diagonal(adj, 0.0)
+    adj = _unit_adjacency(adjacency)
     degrees = adj.sum(axis=1)
     total_volume = float(degrees.sum())
     if total_volume == 0.0:
         raise DegenerateGraphError("graph has no edges")
-    shifts = np.arange(n, dtype=np.uint32)[None, :]
-    best = math.inf
-    chunk = 1 << 16
-    # X and its complement share a boundary and the denominator takes the
-    # smaller volume, so scanning |X| <= |V|/2 covers every partition.
-    for start in range(1, 1 << n, chunk):
-        subsets = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-        member = ((subsets[:, None] >> shifts) & 1).astype(np.float64)
-        eligible = member.sum(axis=1) <= n // 2
-        if not eligible.any():
-            continue
-        member = member[eligible]
+
+    def conductance(member):
         volumes = member @ degrees
         denom = np.minimum(volumes, total_volume - volumes)
         usable = denom > 0
-        if not usable.any():
-            continue
-        member = member[usable]
-        boundary = ((member @ adj) * (1.0 - member)).sum(axis=1)
-        ratios = boundary / denom[usable]
-        best = min(best, float(ratios.min()))
-    return best
+        return _edge_boundary(adj, member[usable]) / denom[usable]
+
+    # X and its complement share a boundary and the denominator takes the
+    # smaller volume, so scanning |X| <= |V|/2 covers every partition.
+    return _subset_scan(adj.shape[0], conductance)

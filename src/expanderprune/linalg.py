@@ -1,14 +1,14 @@
-"""Dense and iterative linear-algebra kernels.
+"""Dense linear-algebra kernels.
 
-Every spectral quantity in the package funnels through the two entry
-points here: a symmetric eigensolver and a top-two singular value
-routine.  Both are deterministic: identical input bits give identical
-output bits (fixed starting vectors, fixed-order reductions).
+Every spectral quantity in the package funnels through the entry points
+here: a symmetric eigensolver for general graphs, and dense SVDs for
+bipartite graphs, whose adjacency spectrum is +/- the singular values of
+the biadjacency block.  All are deterministic: identical input bits give
+identical output bits.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -16,12 +16,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 SYMMETRY_ATOL = 1e-12
-
-# Iterative path controls (see top_two_singular_values).
-_RAYLEIGH_RTOL = 1e-12
-_RESIDUAL_RTOL = 1e-9
-_MAX_POWER_ITERS = 10_000
-_DENSE_CUTOFF = 64
 
 
 def as_dense_matrix(data) -> np.ndarray:
@@ -51,6 +45,18 @@ def bipartite_adjacency(B: np.ndarray) -> np.ndarray:
     return A
 
 
+def bipartite_spectrum(B) -> np.ndarray:
+    """Spectrum of [[0, B], [B^T, 0]] from an SVD of B, sorted descending.
+
+    The adjacency of a bipartite graph with biadjacency B has eigenvalues
+    +/-sigma_i(B) plus |m - n| zeros, so the (m+n)^2 matrix is never built.
+    """
+    B = as_dense_matrix(B)
+    svals = np.linalg.svd(B, compute_uv=False)
+    zeros = np.zeros(abs(B.shape[0] - B.shape[1]))
+    return np.concatenate([svals, zeros, -svals[::-1]])
+
+
 def sym_eigenvalues(M) -> np.ndarray:
     """Full real spectrum of a symmetric matrix, sorted descending.
 
@@ -74,97 +80,17 @@ class TopSingularValues(NamedTuple):
     degenerate: bool
 
 
-def _power_iterate(matvec, v0: np.ndarray, guard: np.ndarray | None):
-    """Power iteration on a symmetric PSD operator.
-
-    Returns (eigenvalue, vector, converged).  ``guard`` is a unit vector
-    the iterates are kept orthogonal to (deflation support).  Convergence
-    needs both a stagnant Rayleigh quotient and a small residual, so a
-    slowly rotating iterate cannot pass as converged.
-    """
-    v = v0.copy()
-    if guard is not None:
-        v = v - guard * float(guard @ v)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return 0.0, v0, False
-    v /= nv
-    theta_prev = math.inf
-    for _ in range(_MAX_POWER_ITERS):
-        w = matvec(v)
-        if guard is not None:
-            w = w - guard * float(guard @ w)
-        theta = float(v @ w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, v, True  # operator annihilates v: eigenvalue 0
-        v_next = w / nw
-        if abs(theta - theta_prev) <= _RAYLEIGH_RTOL * max(abs(theta), 1e-300):
-            residual = float(np.linalg.norm(w - theta * v))
-            if residual <= _RESIDUAL_RTOL * max(abs(theta), 1e-300):
-                return theta, v, True
-        theta_prev = theta
-        v = v_next
-    return theta_prev, v, False
-
-
 def top_two_singular_values(B) -> TopSingularValues:
-    """Two largest singular values of a non-negative matrix.
+    """Two largest singular values of a non-negative matrix, from a dense SVD.
 
-    Uses power iteration with deflation on the Gram matrix, falling back
-    to a dense SVD when min(rows, cols) <= 64 or when the iteration does
-    not certify convergence within its iteration cap.  Values are
-    accurate to a relative 1e-8.  An all-zero matrix yields (0, 0) with
-    the degenerate flag set.
+    A matrix with a single row or column has sigma2 = 0.  An all-zero
+    matrix yields (0, 0) with the degenerate flag set.
     """
     B = as_dense_matrix(B)
     if np.min(B) < 0:
         raise DomainError("biadjacency entries must be non-negative")
     if not B.any():
         return TopSingularValues(0.0, 0.0, True)
-
-    m, n = B.shape
-    if min(m, n) <= _DENSE_CUTOFF:
-        return _dense_top_two(B)
-
-    # Work with the smaller Gram matrix side.
-    if n <= m:
-        matvec = lambda x: B.T @ (B @ x)
-        dim = n
-    else:
-        matvec = lambda x: B @ (B.T @ x)
-        dim = m
-
-    # B >= 0 makes the Gram matrix non-negative, so its Perron vector is
-    # non-negative and the all-ones start always overlaps it.
-    ones = np.full(dim, 1.0 / math.sqrt(dim))
-    theta1, v1, ok1 = _power_iterate(matvec, ones, guard=None)
-    if not ok1 or theta1 < 0:
-        return _dense_top_two(B)
-
-    # The ones vector can sit inside an invariant subspace that misses the
-    # second singular direction (e.g. duplicated diagonal blocks), so the
-    # deflated stage tries a fixed pseudo-random start as well and keeps the
-    # larger Rayleigh quotient: both runs bound the true value from below.
-    random_start = np.random.default_rng(0x5EED).standard_normal(dim)
-    theta2 = -math.inf
-    ok2 = False
-    for start in (random_start, ones):
-        theta, _, ok = _power_iterate(matvec, start, guard=v1)
-        if ok:
-            ok2 = True
-            theta2 = max(theta2, theta)
-    if not ok2 or theta2 < -1e-12 * max(theta1, 1.0):
-        return _dense_top_two(B)
-
-    s1 = math.sqrt(max(theta1, 0.0))
-    s2 = math.sqrt(max(theta2, 0.0))
-    if s2 > s1:  # deflation noise on a tied pair
-        s1, s2 = s2, s1
-    return TopSingularValues(s1, s2, False)
-
-
-def _dense_top_two(B: np.ndarray) -> TopSingularValues:
     svals = np.linalg.svd(B, compute_uv=False)
     s1 = float(svals[0])
     s2 = float(svals[1]) if svals.size > 1 else 0.0

@@ -10,9 +10,11 @@ block B.  The resulting adjacency
          [..., B^T, 0]]
 
 is block tridiagonal Toeplitz and bipartite (layers are 2-colorable by
-parity).  For symmetric B its spectrum has the closed form
-{2 * eig_i(B) * cos(pi * j / (k + 2))} over i = 1..m, j = 1..k+1, which
-the numerical eigensolver cross-checks.
+parity).  Grouping even copies against odd copies turns A into the
+bipartite adjacency of a parity block C, so every spectral quantity
+comes from one SVD of C instead of an eigensolve of A.  For symmetric B
+the spectrum has the closed form {2 * eig_i(B) * cos(pi * j / (k + 2))}
+over i = 1..m, j = 1..k+1, which the numerical spectrum cross-checks.
 """
 
 from __future__ import annotations
@@ -23,8 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError
-from .graphs import SpectralReport, UNWEIGHTED, WEIGHTED, _assemble_report, normalized_laplacian_eigenvalues
-from .linalg import SYMMETRY_ATOL, as_dense_matrix, sym_eigenvalues
+from .graphs import SpectralReport, UNWEIGHTED, WEIGHTED, _assemble_report, bipartite_alpha2
+from .linalg import (
+    SYMMETRY_ATOL,
+    as_dense_matrix,
+    bipartite_spectrum,
+    sym_eigenvalues,
+    top_two_singular_values,
+)
 
 _UNROLLED_DIM_CAP = 4096
 
@@ -53,16 +61,41 @@ class UnrolledSpec:
         return (self.k + 1) * self.m
 
 
-def build_unrolled(spec: UnrolledSpec) -> np.ndarray:
-    """Dense (k+1)m x (k+1)m unrolled adjacency; symmetric by construction."""
+def _check_dim(spec: UnrolledSpec) -> None:
     if spec.dim > _UNROLLED_DIM_CAP:
         raise SizeError(f"unrolled dimension {spec.dim} exceeds cap {_UNROLLED_DIM_CAP}")
+
+
+def build_unrolled(spec: UnrolledSpec) -> np.ndarray:
+    """Dense (k+1)m x (k+1)m unrolled adjacency; symmetric by construction."""
+    _check_dim(spec)
     m, k = spec.m, spec.k
     A = np.zeros((spec.dim, spec.dim))
     for i in range(k):
         A[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = spec.B
         A[(i + 1) * m:(i + 2) * m, i * m:(i + 1) * m] = spec.B.T
     return A
+
+
+def parity_block(spec: UnrolledSpec) -> np.ndarray:
+    """Even-copy x odd-copy block C of the unrolled adjacency.
+
+    Copy 2a is row block a and copy 2b+1 is column block b, so the edge
+    from copy i to copy i+1 puts B (i even) or B^T (i odd) at row block
+    (i+1)//2, column block i//2.  A is a permutation of [[0, C], [C^T, 0]].
+    """
+    _check_dim(spec)
+    m, k = spec.m, spec.k
+    C = np.zeros(((k // 2 + 1) * m, (k + 1) // 2 * m))
+    for i in range(k):
+        r, c = (i + 1) // 2, i // 2
+        C[r * m:(r + 1) * m, c * m:(c + 1) * m] = spec.B if i % 2 == 0 else spec.B.T
+    return C
+
+
+def unrolled_spectrum(spec: UnrolledSpec) -> np.ndarray:
+    """Full spectrum of the unrolled adjacency, sorted descending."""
+    return bipartite_spectrum(parity_block(spec))
 
 
 def closed_form_spectrum(spec: UnrolledSpec) -> np.ndarray:
@@ -84,21 +117,16 @@ def unrolled_gap_report(spec: UnrolledSpec, mode: str = WEIGHTED) -> SpectralRep
     """Spectral report of the unrolled graph.
 
     The block is taken as |B| (weighted) or its support indicator
-    (unweighted); lambda1 and lambda2 come from the numerical spectrum
-    of the unrolled adjacency.  With k = 1 this coincides with the
-    layerwise report of B itself.
+    (unweighted); lambda1, lambda2 and alpha2 come from the parity block
+    C exactly as a layer report takes them from its biadjacency.  With
+    k = 1, C is the block itself and this is the layerwise report of B.
     """
     if mode not in (WEIGHTED, UNWEIGHTED):
         raise DomainError(f"unknown mode {mode!r}")
     block = np.abs(spec.B) if mode == WEIGHTED else (spec.B != 0).astype(np.float64)
-    A = build_unrolled(UnrolledSpec(block, spec.k))
-    if not A.any():
+    C = parity_block(UnrolledSpec(block, spec.k))
+    if not C.any():
         raise DomainError("unrolled graph has no edges")
-    eigs = sym_eigenvalues(A)
-    lambda1 = float(eigs[0])
-    # Bipartite spectrum is symmetric about 0; a lone +/- pair plays the
-    # role of sigma2 = 0, hence the clamp.
-    lambda2 = max(float(eigs[1]), 0.0)
-    d_avg = float(A.sum(axis=1).mean())
-    alpha2 = float(normalized_laplacian_eigenvalues(A)[1])
-    return _assemble_report(mode, lambda1, lambda2, d_avg, alpha2)
+    lambda1, lambda2, _ = top_two_singular_values(C)
+    d_avg = float(np.concatenate([C.sum(axis=1), C.sum(axis=0)]).mean())
+    return _assemble_report(mode, lambda1, lambda2, d_avg, bipartite_alpha2(C), C.shape)

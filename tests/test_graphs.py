@@ -7,6 +7,7 @@ from expanderprune.errors import DegenerateGraphError, DomainError, ShapeError, 
 from expanderprune.graphs import (
     UNWEIGHTED,
     WEIGHTED,
+    bipartite_alpha2,
     build_bipartite,
     cheeger_bounds,
     degree_stats,
@@ -17,6 +18,7 @@ from expanderprune.graphs import (
     spectral_gaps,
     vertex_cheeger_bruteforce,
 )
+from expanderprune.linalg import bipartite_adjacency
 from graphgen import random_connected_graph
 
 
@@ -114,6 +116,15 @@ def test_spectral_gaps_eight_cycle():
     assert abs(report.delta_s - expected) < 1e-9
 
 
+@pytest.mark.parametrize("m, n", [(64, 64), (65, 65), (512, 128), (2048, 512)])
+def test_spectral_gaps_complete_bipartite_infinite_at_every_size(m, n):
+    # sigma2 of the all-ones block is rounding noise that grows with the
+    # block (about 1e-11 at 2048x512); it must still count as zero
+    report = spectral_gaps(build_bipartite(np.ones((m, n)), None, UNWEIGHTED))
+    assert report.delta_r == report.delta_s == math.inf
+    assert report.ramanujan is True
+
+
 def test_spectral_gaps_weighted_hand_example():
     # two disjoint weighted edges: singular values (2, 1)
     report = spectral_gaps(build_bipartite([[2.0, 0.0], [0.0, 1.0]], None, WEIGHTED))
@@ -144,6 +155,45 @@ def test_alpha2_disconnected_is_zero():
 def test_alpha2_complete_bipartite():
     alpha2 = normalized_laplacian_alpha2(build_bipartite(np.ones((4, 4)), None, UNWEIGHTED))
     assert abs(alpha2 - 1.0) < 1e-12
+
+
+def laplacian_alpha2(B):
+    return normalized_laplacian_eigenvalues(bipartite_adjacency(B))[1]
+
+
+def test_alpha2_from_block_matches_full_laplacian():
+    rng = np.random.default_rng(41)
+    for trial in range(30):
+        m, n = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        B = rng.random((m, n)) * (rng.random((m, n)) < rng.uniform(0.05, 0.9))
+        B[rng.random(m) < 0.2] = 0.0  # isolated rows
+        B[:, rng.random(n) < 0.2] = 0.0  # isolated columns
+        if not B.any():
+            continue
+        for mode in (WEIGHTED, UNWEIGHTED):
+            g = build_bipartite(B, None, mode)
+            assert abs(normalized_laplacian_alpha2(g) - laplacian_alpha2(g.biadjacency)) <= 1e-12
+
+
+def test_alpha2_star_single_edge_and_disconnected():
+    for n in (1, 2, 7):
+        star = np.ones((1, n))
+        assert abs(bipartite_alpha2(star) - laplacian_alpha2(star)) <= 1e-12
+        assert abs(bipartite_alpha2(star.T) - laplacian_alpha2(star.T)) <= 1e-12
+    assert bipartite_alpha2(np.array([[1.0]])) == 2.0
+    single_edge = np.zeros((3, 4))
+    single_edge[1, 2] = 0.5
+    assert bipartite_alpha2(single_edge) == 2.0
+    two_components = np.zeros((4, 5))
+    two_components[:2, :2] = 1.0
+    two_components[2:, 2:] = 1.0
+    assert bipartite_alpha2(two_components) == 0.0
+    assert abs(laplacian_alpha2(two_components)) <= 1e-12
+
+
+def test_alpha2_from_block_needs_an_edge():
+    with pytest.raises(DegenerateGraphError):
+        bipartite_alpha2(np.zeros((3, 2)))
 
 
 def test_alpha2_eight_cycle():

@@ -4,6 +4,7 @@ import pytest
 from expanderprune.errors import DomainError, ShapeError
 from expanderprune.linalg import (
     bipartite_adjacency,
+    bipartite_spectrum,
     sym_eigenvalues,
     top_two_singular_values,
 )
@@ -107,7 +108,7 @@ def test_random_sparse_50x50_matches_dense_eigensolver():
 
 
 def test_iterative_path_matches_dense_svd():
-    # min(m, n) > 64 forces the power/deflation path
+    # sparse blocks wider than 64 on both sides, checked against numpy's SVD
     rng = np.random.default_rng(11)
     for trial in range(5):
         B = rng.random((80, 120)) * (rng.random((80, 120)) < 0.05)
@@ -148,6 +149,16 @@ def test_bipartite_spectrum_is_plus_minus_singular_values():
         svals = np.linalg.svd(B, compute_uv=False)
         expected = np.concatenate([svals, np.zeros(m + n - 2 * svals.size), -svals[::-1]])
         assert np.allclose(np.sort(eigs), np.sort(expected), atol=1e-8)
+
+
+def test_bipartite_spectrum_matches_dense_eigensolver():
+    rng = np.random.default_rng(22)
+    for m, n in [(1, 1), (1, 5), (5, 1), (4, 4), (3, 9), (12, 7)]:
+        B = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.7)
+        spectrum = bipartite_spectrum(B)
+        assert spectrum.shape == (m + n,)
+        assert np.all(np.diff(spectrum) <= 0)
+        assert np.allclose(spectrum, sym_eigenvalues(bipartite_adjacency(B)), atol=1e-12)
 
 
 def test_gershgorin_bound_holds():

@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from expanderprune.errors import DomainError, SizeError
-from expanderprune.graphs import UNWEIGHTED, WEIGHTED, build_bipartite, spectral_gaps
+from expanderprune.graphs import (
+    UNWEIGHTED,
+    WEIGHTED,
+    build_bipartite,
+    normalized_laplacian_eigenvalues,
+    spectral_gaps,
+)
 from expanderprune.linalg import sym_eigenvalues
 from expanderprune.unrolled import (
     UnrolledSpec,
     build_unrolled,
     closed_form_spectrum,
+    parity_block,
     unrolled_gap_report,
+    unrolled_spectrum,
 )
 
 
@@ -43,8 +51,31 @@ def test_block_pattern():
 
 
 def test_size_cap():
-    with pytest.raises(SizeError):
-        build_unrolled(UnrolledSpec(np.ones((64, 64)), 100))
+    spec = UnrolledSpec(np.ones((64, 64)), 100)
+    for f in (build_unrolled, parity_block, unrolled_spectrum, unrolled_gap_report):
+        with pytest.raises(SizeError):
+            f(spec)
+
+
+def test_parity_block_permutes_unrolled_adjacency():
+    rng = np.random.default_rng(15)
+    m = 3
+    B = rng.standard_normal((m, m))
+    for k in (1, 2, 5, 6):
+        spec = UnrolledSpec(B, k)
+        evens = [i * m + r for i in range(0, k + 1, 2) for r in range(m)]
+        odds = [i * m + r for i in range(1, k + 1, 2) for r in range(m)]
+        assert np.array_equal(parity_block(spec), build_unrolled(spec)[np.ix_(evens, odds)])
+
+
+def test_unrolled_spectrum_matches_dense_eigensolver():
+    rng = np.random.default_rng(16)
+    for m in (1, 3, 6):
+        for k in (1, 2, 3, 4, 7, 8):
+            B = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.7)  # not symmetric
+            spec = UnrolledSpec(B, k)
+            dense = sym_eigenvalues(build_unrolled(spec))
+            assert np.allclose(unrolled_spectrum(spec), dense, atol=1e-10 * max(dense[0], 1.0))
 
 
 def test_closed_form_trivials():
@@ -105,6 +136,23 @@ def test_gap_report_k1_matches_layer_report():
         assert abs(unrolled.lambda2 - layer.lambda2) < 1e-9
         assert unrolled.d_avg == layer.d_avg
         assert abs(unrolled.alpha2 - layer.alpha2) < 1e-9
+
+
+def test_gap_report_matches_dense_unrolled_adjacency():
+    rng = np.random.default_rng(17)
+    for m, k in [(2, 2), (3, 3), (4, 6), (5, 7)]:
+        W = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.6)
+        if not W.any():
+            continue
+        for mode in (WEIGHTED, UNWEIGHTED):
+            block = np.abs(W) if mode == WEIGHTED else (W != 0).astype(np.float64)
+            A = build_unrolled(UnrolledSpec(block, k))
+            eigs = sym_eigenvalues(A)
+            report = unrolled_gap_report(UnrolledSpec(W, k), mode)
+            assert abs(report.lambda1 - eigs[0]) < 1e-9
+            assert abs(report.lambda2 - max(eigs[1], 0.0)) < 1e-9
+            assert abs(report.d_avg - A.sum(axis=1).mean()) < 1e-12
+            assert abs(report.alpha2 - normalized_laplacian_eigenvalues(A)[1]) < 1e-12
 
 
 def test_gap_report_identity_block_multiplicities():
