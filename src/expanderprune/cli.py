@@ -11,6 +11,7 @@ error exits nonzero with a single machine-parsable line on stderr:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -18,25 +19,26 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, load_config, serialize_config
-from .data import add_noise, load_csv_sequences, load_idx_images, synth_task, train_test_split
-from .errors import DomainError, FormatError
+from .config import ExperimentConfig, load_config
+from .data import load_csv_sequences, load_idx_images, synth_task
+from .errors import ConfigError, DomainError
 from .formats import (
     CHECKPOINT_MAGIC,
-    dump_json_line,
     load_checkpoint,
     load_matrix_text,
     sanitize_json,
     save_checkpoint,
 )
 from .graphs import MODES, build_bipartite, spectral_gaps
-from .nets import LSTM, PruneMask, evaluate, init_params, train
+from .nets import LSTM, evaluate, init_params
 from .pruning import (
     GAP_KINDS,
     LAYERS,
     detect_zero_crossing,
     load_trajectory,
     run_imp,
+    split_dataset,
+    train_dense,
 )
 from .svgplot import render_trajectory
 from .unrolled import UnrolledSpec, closed_form_spectrum, unrolled_gap_report, unrolled_spectrum
@@ -50,16 +52,6 @@ _LAYER_FLAGS = {"wxh": ("w_xh",), "whh": ("w_hh",), "all": LAYERS}
 _MODE_FLAGS = {"weighted": ("weighted",), "unweighted": ("unweighted",), "both": MODES}
 
 
-class _CliError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _fail(code: str, message: str) -> "_CliError":
-    return _CliError(code, message)
-
-
 def _resolve_out(path: str) -> str:
     if os.path.isabs(path):
         return path
@@ -69,7 +61,7 @@ def _resolve_out(path: str) -> str:
 
 def _require_file(path: str) -> str:
     if not os.path.isfile(path):
-        raise _fail("ENOENT", f"{path}: no such file")
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     return path
 
 
@@ -141,33 +133,14 @@ def _load_experiment(args) -> ExperimentConfig:
     if args.out:
         cfg.output_dir = args.out
     if not cfg.output_dir:
-        raise _fail("ECONFIG", "experiment.output_dir missing (set it or pass --out)")
+        raise ConfigError("experiment.output_dir missing (set it or pass --out)")
     cfg.output_dir = _resolve_out(cfg.output_dir)
     return cfg
-
-
-def _check_run_config(cfg: ExperimentConfig) -> None:
-    """Refuse to resume into a directory produced by a different config."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    snapshot_path = os.path.join(cfg.output_dir, "run_config.json")
-    snapshot = dump_json_line({"config": serialize_config(cfg), "seed": cfg.seed})
-    if os.path.exists(snapshot_path):
-        with open(snapshot_path) as f:
-            existing = f.read().strip()
-        if existing != snapshot:
-            raise _fail(
-                "ECONFIG",
-                f"{snapshot_path}: existing run was produced by a different configuration",
-            )
-    else:
-        with open(snapshot_path, "w") as f:
-            f.write(snapshot + "\n")
 
 
 def cmd_prune(args) -> int:
     cfg = _load_experiment(args)
     dataset = _build_dataset(cfg)
-    _check_run_config(cfg)
     trajectory = run_imp(
         cfg.train,
         cfg.schedule,
@@ -199,17 +172,10 @@ def cmd_prune(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_experiment(args)
     dataset = _build_dataset(cfg)
-    train_ds, test_ds = train_test_split(dataset, 0.20, seed=cfg.seed)
-    if cfg.noise is not None:
-        if cfg.noise_apply_to in ("both", "train"):
-            train_ds = add_noise(train_ds, cfg.noise)
-        if cfg.noise_apply_to in ("both", "test"):
-            test_ds = add_noise(test_ds, cfg.noise)
-    params = init_params(dataset.input_size, cfg.hidden_size, dataset.class_count,
-                         cfg.cell_kind, seed=cfg.seed)
-    mask = PruneMask.full(params)
-    params = train(params, mask, train_ds.sequences, train_ds.labels,
-                   cfg.train, cfg.train.train_epochs, stream=(0, 0))
+    train_ds, test_ds = split_dataset(dataset, cfg.train.seed, cfg.noise, cfg.noise_apply_to)
+    initial = init_params(dataset.input_size, cfg.hidden_size, dataset.class_count,
+                          cfg.cell_kind, seed=cfg.train.seed)
+    params, mask = train_dense(cfg.train, initial, train_ds)
     os.makedirs(cfg.output_dir, exist_ok=True)
     ckpt_path = os.path.join(cfg.output_dir, "dense.ckpt")
     save_checkpoint(ckpt_path, params, mask)
@@ -238,8 +204,7 @@ def cmd_unroll(args) -> int:
     }
     if args.closed_form:
         if np.max(np.abs(B - B.T)) > 1e-12:
-            raise _fail("EDOMAIN",
-                        f"{path}: closed-form spectrum requires a symmetric matrix")
+            raise DomainError(f"{path}: closed-form spectrum requires a symmetric matrix")
         closed = closed_form_spectrum(spec)
         out["closed_form"] = [float(v) for v in closed]
         out["max_deviation"] = float(np.max(np.abs(closed - spectrum)))
@@ -251,7 +216,7 @@ def cmd_report(args) -> int:
     path = _require_file(args.path)
     trajectory = load_trajectory(path)
     if not trajectory.records:
-        raise _fail("EDOMAIN", f"{path}: trajectory is empty")
+        raise DomainError(f"{path}: trajectory is empty")
     out_svg = _resolve_out(args.out) if args.out else os.path.splitext(path)[0] + ".svg"
     out_csv = os.path.splitext(out_svg)[0] + ".csv"
     render_trajectory(trajectory, out_svg, out_csv)
@@ -307,9 +272,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"error: ENOENT: {exc.filename}: no such file", file=sys.stderr)
         return 2

@@ -38,7 +38,6 @@ fields.  Validation collects every violated field before failing.
 from __future__ import annotations
 
 import configparser
-import io
 import os
 from dataclasses import dataclass, field
 
@@ -155,7 +154,6 @@ def parse_config(text: str) -> ExperimentConfig:
         beta2=get("train", "beta2", 0.999, float),
         adam_eps=get("train", "adam_eps", 1e-8, float),
         clip_norm=get("train", "clip_norm", 5.0, float),
-        prune_rounds=get("prune", "rounds", 20, int),
         seed=cfg.seed,
     )
     schedule_kwargs = dict(
@@ -221,59 +219,3 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path) as f:
         return parse_config(f.read())
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(parse(x))) == parse(x)."""
-    parser = configparser.ConfigParser()
-    parser["experiment"] = {
-        "cell_kind": cfg.cell_kind,
-        "hidden_size": str(cfg.hidden_size),
-        "seed": str(cfg.seed),
-        "output_dir": cfg.output_dir,
-    }
-    data = {
-        "source": cfg.data.source,
-        "limit": str(cfg.data.limit),
-    }
-    if cfg.data.source == "synth":
-        data.update(
-            synth_kind=cfg.data.synth_kind,
-            n_samples=str(cfg.data.n_samples),
-            k=str(cfg.data.k),
-            input_size=str(cfg.data.input_size),
-        )
-    elif cfg.data.source == "idx":
-        data.update(images_path=cfg.data.images_path, labels_path=cfg.data.labels_path)
-    else:
-        data.update(csv_path=cfg.data.csv_path)
-    parser["data"] = data
-    if cfg.noise is not None:
-        parser["noise"] = {
-            "p": repr(cfg.noise.p),
-            "sigma": repr(cfg.noise.sigma),
-            "seed": str(cfg.noise.seed),
-            "apply_to": cfg.noise_apply_to,
-        }
-    parser["train"] = {
-        "learning_rate": repr(cfg.train.learning_rate),
-        "train_epochs": str(cfg.train.train_epochs),
-        "batch_size": str(cfg.train.batch_size),
-        "beta1": repr(cfg.train.beta1),
-        "beta2": repr(cfg.train.beta2),
-        "adam_eps": repr(cfg.train.adam_eps),
-        "clip_norm": repr(cfg.train.clip_norm),
-    }
-    parser["prune"] = {
-        "rounds": str(cfg.schedule.rounds),
-        "start_fraction": repr(cfg.schedule.start_fraction),
-        "final_fraction": repr(cfg.schedule.final_fraction),
-        "finetune_epochs": str(cfg.schedule.finetune_epochs),
-        "rewind_to_init": str(cfg.schedule.rewind_to_init).lower(),
-    }
-    parser["monitor"] = {
-        "policy": ", ".join(f"{layer}:{kind}" for layer, kind in cfg.policy),
-    }
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()

@@ -41,7 +41,6 @@ class TrainConfig:
 
     learning_rate: float = 0.001
     train_epochs: int = 20
-    prune_rounds: int = 20
     batch_size: int = 100
     beta1: float = 0.9
     beta2: float = 0.999
@@ -52,7 +51,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise DomainError("learning_rate must be > 0")
-        for name in ("train_epochs", "prune_rounds", "batch_size"):
+        for name in ("train_epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1")
 

@@ -9,11 +9,14 @@ annotated with the first zero crossing of each spectral gap.
 
 Runs are deterministic for a fixed seed and resumable: every round
 writes a checkpoint plus one JSON line, and a restarted run continues
-from the last complete round with bit-identical output.
+from the last complete round with bit-identical output.  This module is
+the only place that splits the data, trains the dense model and decides
+whether a directory may be resumed, for library and CLI callers alike.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -21,14 +24,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import NoiseSpec, SequenceDataset, add_noise, train_test_split
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .formats import (
     dump_json_line,
     load_checkpoint,
     parse_json_line,
     save_checkpoint,
 )
-from .graphs import MODES, SpectralReport, UNWEIGHTED, WEIGHTED, build_bipartite, spectral_gaps
+from .graphs import MODES, SpectralReport, build_bipartite, spectral_gaps
 from .nets import (
     PruneMask,
     RecurrentParams,
@@ -41,6 +44,7 @@ from .nets import (
 
 LAYERS = ("w_xh", "w_hh")
 GAP_KINDS = ("unweighted_delta_r", "unweighted_delta_s", "weighted_delta_s")
+TEST_FRACTION = 0.20
 
 _STREAM_DENSE = 0
 _STREAM_FINETUNE = 1
@@ -78,9 +82,7 @@ class PruneRecord:
     zero_crossed: dict[str, dict[str, bool]]
 
     def gap(self, layer: str, kind: str) -> float:
-        mode, attr = _split_kind(kind)
-        report = self.reports[layer][mode]
-        return report.delta_r if attr == "delta_r" else report.delta_s
+        return _gap(self.reports, layer, kind)
 
     def as_dict(self) -> dict:
         return {
@@ -113,8 +115,6 @@ class PruneRecord:
 @dataclass
 class PruneTrajectory:
     records: list[PruneRecord] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-    seed: int = 0
 
 
 def _split_kind(kind: str) -> tuple[str, str]:
@@ -122,6 +122,11 @@ def _split_kind(kind: str) -> tuple[str, str]:
         raise DomainError(f"unknown gap kind {kind!r}; expected one of {GAP_KINDS}")
     mode, attr = kind.split("_", 1)
     return mode, attr
+
+
+def _gap(reports, layer: str, kind: str) -> float:
+    mode, attr = _split_kind(kind)
+    return getattr(reports[layer][mode], attr)
 
 
 def _check_layer(layer: str) -> str:
@@ -173,9 +178,7 @@ def _crossing_flags(reports, previous: PruneRecord | None) -> dict[str, dict[str
     for layer in LAYERS:
         flags[layer] = {}
         for kind in GAP_KINDS:
-            mode, attr = _split_kind(kind)
-            rep = reports[layer][mode]
-            value = rep.delta_r if attr == "delta_r" else rep.delta_s
+            value = _gap(reports, layer, kind)
             if previous is None:
                 flags[layer][kind] = value < 0
             else:
@@ -265,53 +268,103 @@ def _resume_state(out_dir, trajectory_path):
     return usable, params, mask
 
 
+def split_dataset(dataset: SequenceDataset, seed: int, noise: NoiseSpec | None = None,
+                  noise_apply_to: str = "both") -> tuple[SequenceDataset, SequenceDataset]:
+    """The seeded train/test split (TEST_FRACTION held out), then ``noise``
+    applied to the train split, the test split, or both (``noise_apply_to``)."""
+    if dataset.n < 2:
+        raise DomainError("dataset too small to split")
+    if noise_apply_to not in ("both", "train", "test"):
+        raise DomainError(f"noise_apply_to must be both/train/test, got {noise_apply_to!r}")
+    train_ds, test_ds = train_test_split(dataset, TEST_FRACTION, seed=seed)
+    if noise is not None:
+        if noise_apply_to in ("both", "train"):
+            train_ds = add_noise(train_ds, noise)
+        if noise_apply_to in ("both", "test"):
+            test_ds = add_noise(test_ds, noise)
+    return train_ds, test_ds
+
+
+def train_dense(config: TrainConfig, initial: RecurrentParams,
+                train_ds: SequenceDataset) -> tuple[RecurrentParams, PruneMask]:
+    """Round 0's model: ``initial`` trained unmasked for config.train_epochs."""
+    mask = PruneMask.full(initial)
+    params = train(initial, mask, train_ds.sequences, train_ds.labels,
+                   config, config.train_epochs, stream=(_STREAM_DENSE, 0))
+    return params, mask
+
+
+def _dataset_digest(dataset: SequenceDataset) -> dict:
+    digest = hashlib.sha256()
+    for array in (dataset.sequences, dataset.labels):
+        digest.update(np.ascontiguousarray(array))
+    return {
+        "shape": list(dataset.sequences.shape),
+        "class_count": dataset.class_count,
+        "sha256": digest.hexdigest(),
+    }
+
+
+def _check_run_config(out_dir, snapshot: dict) -> None:
+    """Refuse to resume a directory written under a different snapshot;
+    a directory without one gets this run's snapshot."""
+    path = os.path.join(out_dir, "run_config.json")
+    text = dump_json_line(snapshot)
+    if os.path.exists(path):
+        with open(path) as f:
+            if f.read().strip() != text:
+                raise ConfigError(f"{path}: existing run was produced by a different configuration")
+    else:
+        with open(path, "w", newline="") as f:
+            f.write(text + "\n")
+
+
 def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDataset,
             *, cell_kind: str = "rnn", hidden_size: int = 128,
-            out_dir=None, policy=(), test_fraction: float = 0.20,
+            out_dir=None, policy=(),
             noise: NoiseSpec | None = None, noise_apply_to: str = "both") -> PruneTrajectory:
-    """Full IMP trajectory on an 80/20 train/test split of ``dataset``.
+    """Full IMP trajectory on the train/test split of ``dataset`` (split_dataset).
 
-    Round 0 is the dense baseline after config.train_epochs of training;
-    each later round prunes both layers to the scheduled keep fraction,
-    fine-tunes for schedule.finetune_epochs (skipped when the masks did
-    not change), and records accuracy plus all spectral reports.  W_hy
-    is never pruned.  A non-empty ``policy`` (pairs of layer and gap
-    kind) stops the run after the first monitored zero crossing.
+    Round 0 is the dense baseline after config.train_epochs of training
+    (train_dense); each later round prunes both layers to the scheduled
+    keep fraction, fine-tunes for schedule.finetune_epochs (skipped when
+    the masks did not change), and records accuracy plus all spectral
+    reports.  W_hy is never pruned.  A non-empty ``policy`` (pairs of
+    layer and gap kind) stops the run after the first monitored zero
+    crossing.
 
     ``noise`` perturbs the train split, the test split, or both
     (``noise_apply_to``) after splitting.
 
     With ``out_dir`` set, each round is persisted (trajectory.jsonl plus
     round_NNN.ckpt) and a rerun resumes after the last complete round,
-    reproducing an uninterrupted run byte for byte.
+    reproducing an uninterrupted run byte for byte.  The directory's
+    run_config.json records the model, training config, schedule,
+    policy, noise and a sha256 of the dataset (not the output path); a
+    rerun whose snapshot differs raises ConfigError before anything is
+    trained or written.
     """
-    if dataset.n < 2:
-        raise DomainError("dataset too small to split")
     for layer, kind in policy:
         _check_layer(layer)
         _split_kind(kind)
-    if noise_apply_to not in ("both", "train", "test"):
-        raise DomainError(f"noise_apply_to must be both/train/test, got {noise_apply_to!r}")
-    train_ds, test_ds = train_test_split(dataset, test_fraction, seed=config.seed)
-    if noise is not None:
-        if noise_apply_to in ("both", "train"):
-            train_ds = add_noise(train_ds, noise)
-        if noise_apply_to in ("both", "test"):
-            test_ds = add_noise(test_ds, noise)
+    train_ds, test_ds = split_dataset(dataset, config.seed, noise, noise_apply_to)
 
     trajectory_path = os.path.join(out_dir, "trajectory.jsonl") if out_dir else None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        _check_run_config(out_dir, {
+            "cell_kind": cell_kind,
+            "hidden_size": hidden_size,
+            "test_fraction": TEST_FRACTION,
+            "train": asdict(config),
+            "schedule": asdict(schedule),
+            "policy": [list(pair) for pair in policy],
+            "noise": asdict(noise) if noise is not None else None,
+            "noise_apply_to": noise_apply_to,
+            "dataset": _dataset_digest(dataset),
+        })
 
-    snapshot = {
-        "cell_kind": cell_kind,
-        "hidden_size": hidden_size,
-        "test_fraction": test_fraction,
-        "train": asdict(config),
-        "schedule": asdict(schedule),
-        "policy": [list(pair) for pair in policy],
-    }
-    trajectory = PruneTrajectory(config=snapshot, seed=config.seed)
+    trajectory = PruneTrajectory()
     resumed = _resume_state(out_dir, trajectory_path) if out_dir else None
     initial = init_params(dataset.input_size, hidden_size, dataset.class_count,
                           cell_kind, seed=config.seed)
@@ -320,10 +373,7 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
         if trajectory_path:
             save_trajectory(trajectory, trajectory_path)  # drop any dangling tail
     else:
-        params = initial.copy()
-        mask = PruneMask.full(params)
-        params = train(params, mask, train_ds.sequences, train_ds.labels,
-                       config, config.train_epochs, stream=(_STREAM_DENSE, 0))
+        params, mask = train_dense(config, initial, train_ds)
         record = _make_record(0, params, mask, test_ds, previous=None)
         _persist_round(out_dir, trajectory_path, record, params, mask)
         trajectory.records.append(record)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -34,6 +35,13 @@ batch_size = 20
 rounds = 3
 final_fraction = 0.05
 finetune_epochs = 1
+"""
+
+NOISE = """
+[noise]
+p = 0.2
+sigma = 0.3
+apply_to = train
 """
 
 
@@ -157,6 +165,63 @@ def test_prune_seed_override_refuses_mismatched_resume(tmp_path, capsys):
     code, _, err = run_cli(capsys, "prune", "--config", str(config_path), "--seed", "99")
     assert code == 2
     assert err.startswith("error: ECONFIG:")
+
+
+def test_train_checkpoint_equals_prune_round_zero(tmp_path, capsys):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "run") + NOISE)
+    code, _, _ = run_cli(capsys, "prune", "--config", str(config_path))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "train", "--config", str(config_path),
+                         "--out", str(tmp_path / "dense"))
+    assert code == 0
+    dense = (tmp_path / "dense" / "dense.ckpt").read_bytes()
+    assert dense == (tmp_path / "run" / "round_000.ckpt").read_bytes()
+
+
+def test_prune_resumes_one_run_through_equivalent_paths(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("EXP_HOME", raising=False)
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out="run"))
+    code, _, _ = run_cli(capsys, "prune", "--config", str(config_path))
+    assert code == 0
+    files = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    for out in ("./run", str(tmp_path / "run")):
+        code, _, err = run_cli(capsys, "prune", "--config", str(config_path), "--out", out)
+        assert (code, err) == (0, "")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == files
+
+    config_path.write_text(CONFIG.format(out="run").replace("n_samples = 80", "n_samples = 100"))
+    code, _, err = run_cli(capsys, "prune", "--config", str(config_path))
+    assert code == 2
+    assert err == (f"error: ECONFIG: {os.path.join('run', 'run_config.json')}: "
+                   "existing run was produced by a different configuration\n")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == files
+
+
+def test_error_lines_are_exact(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("EXP_HOME", raising=False)
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=""))
+    code, _, err = run_cli(capsys, "prune", "--config", str(config_path))
+    assert (code, err) == (2, "error: ECONFIG: experiment.output_dir missing "
+                              "(set it or pass --out)\n")
+
+    missing = tmp_path / "nope.ini"
+    code, _, err = run_cli(capsys, "train", "--config", str(missing))
+    assert (code, err) == (2, f"error: ENOENT: {missing}: no such file\n")
+
+    block = tmp_path / "block.matx"
+    save_matrix_text(np.array([[0.0, 1.0], [0.5, 0.0]]), block)
+    code, _, err = run_cli(capsys, "unroll", str(block), "--k", "2", "--closed-form")
+    assert (code, err) == (2, f"error: EDOMAIN: {block}: closed-form spectrum "
+                              "requires a symmetric matrix\n")
+
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code, _, err = run_cli(capsys, "report", str(empty))
+    assert (code, err) == (2, f"error: EDOMAIN: {empty}: trajectory is empty\n")
 
 
 def test_prune_invalid_config_lists_fields(tmp_path, capsys):

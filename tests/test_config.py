@@ -1,6 +1,6 @@
 import pytest
 
-from expanderprune.config import load_config, parse_config, serialize_config
+from expanderprune.config import load_config, parse_config
 from expanderprune.errors import ConfigError
 
 MINIMAL = """
@@ -62,14 +62,6 @@ def test_noise_section_optional():
     assert cfg.noise.p == 0.2
     assert cfg.noise.sigma == 0.45
     assert cfg.noise_apply_to == "train"
-
-
-def test_round_trip_is_identity():
-    cfg = parse_config(MINIMAL + "\n[noise]\np = 0.2\nsigma = 0.3\n")
-    text = serialize_config(cfg)
-    again = parse_config(text)
-    assert serialize_config(again) == text
-    assert again == cfg
 
 
 def test_validation_lists_every_violation():

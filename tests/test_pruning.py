@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from expanderprune.data import synth_task
-from expanderprune.errors import DomainError
+from expanderprune.data import NoiseSpec, synth_task
+from expanderprune.errors import ConfigError, DomainError
 from expanderprune.graphs import SpectralReport
 from expanderprune.nets import TrainConfig
 from expanderprune.pruning import (
@@ -231,3 +233,25 @@ def test_run_imp_ignores_dangling_records_without_checkpoints(tmp_path):
         (partial / name).write_bytes((tmp_path / "full" / name).read_bytes())
     resumed = tiny_run(partial, rounds=4)
     assert (partial / "trajectory.jsonl").read_bytes() == full_path.read_bytes()
+
+
+@pytest.mark.parametrize("change", ["seed", "schedule", "noise", "dataset"])
+def test_run_imp_refuses_resume_under_changed_config(tmp_path, change):
+    ds = synth_task("mean-threshold", 80, 4, 3, seed=3)
+    cfg = TrainConfig(seed=3, train_epochs=2, batch_size=20)
+    sched = PruneSchedule(rounds=2, final_fraction=0.05, finetune_epochs=1)
+    kwargs = dict(cell_kind="rnn", hidden_size=6, out_dir=str(tmp_path))
+    run_imp(cfg, sched, ds, **kwargs)
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert "run_config.json" in files
+    if change == "seed":
+        cfg = replace(cfg, seed=4)
+    elif change == "schedule":
+        sched = replace(sched, rounds=3)
+    elif change == "noise":
+        kwargs["noise"] = NoiseSpec(p=0.2, sigma=0.3, seed=3)
+    else:
+        ds = synth_task("mean-threshold", 80, 4, 3, seed=4)
+    with pytest.raises(ConfigError):
+        run_imp(cfg, sched, ds, **kwargs)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
