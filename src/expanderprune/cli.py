@@ -30,7 +30,7 @@ from .formats import (
     save_checkpoint,
 )
 from .graphs import MODES, build_bipartite, spectral_gaps
-from .nets import LSTM, evaluate, init_params
+from .nets import GATES, LSTM, evaluate, init_params
 from .pruning import (
     GAP_KINDS,
     LAYERS,
@@ -95,7 +95,7 @@ def cmd_analyze(args) -> int:
             )
             if args.per_gate and params.cell_kind == LSTM:
                 H = params.hidden_size
-                for g_index, gate in enumerate(("i", "f", "g", "o")):
+                for g_index, gate in enumerate(GATES):
                     rows = slice(g_index * H, (g_index + 1) * H)
                     reports.extend(
                         _layer_graph_reports(
@@ -115,7 +115,8 @@ def cmd_analyze(args) -> int:
 def _build_dataset(cfg: ExperimentConfig):
     data = cfg.data
     if data.source == "synth":
-        ds = synth_task(data.synth_kind, data.n_samples, data.k, data.input_size, seed=cfg.seed)
+        ds = synth_task(data.synth_kind, data.n_samples, data.k, data.input_size,
+                        seed=cfg.train.seed)
     elif data.source == "idx":
         ds = load_idx_images(_require_file(data.images_path), _require_file(data.labels_path))
     else:
@@ -126,10 +127,7 @@ def _build_dataset(cfg: ExperimentConfig):
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    cfg = load_config(_require_file(args.config))
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.train = type(cfg.train)(**{**cfg.train.__dict__, "seed": args.seed})
+    cfg = load_config(_require_file(args.config), args.seed)
     if args.out:
         cfg.output_dir = args.out
     if not cfg.output_dir:
@@ -150,7 +148,6 @@ def cmd_prune(args) -> int:
         out_dir=cfg.output_dir,
         policy=cfg.policy,
         noise=cfg.noise,
-        noise_apply_to=cfg.noise_apply_to,
     )
     summary = {
         "output_dir": cfg.output_dir,
@@ -172,7 +169,7 @@ def cmd_prune(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_experiment(args)
     dataset = _build_dataset(cfg)
-    train_ds, test_ds = split_dataset(dataset, cfg.train.seed, cfg.noise, cfg.noise_apply_to)
+    train_ds, test_ds = split_dataset(dataset, cfg.train.seed, cfg.noise)
     initial = init_params(dataset.input_size, cfg.hidden_size, dataset.class_count,
                           cfg.cell_kind, seed=cfg.train.seed)
     params, mask = train_dense(cfg.train, initial, train_ds)

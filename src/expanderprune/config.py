@@ -32,14 +32,22 @@ Example:
 
 Optional sections: [noise] (p, sigma, seed, apply_to) and, under [data],
 either idx paths (images_path, labels_path), a csv_path, or the synth
-fields.  Validation collects every violated field before failing.
+fields.  A ';' after whitespace starts an inline comment.
+
+Each of [data], [train], [prune] and [noise] is read from the fields of
+the dataclass that owns it (DataConfig, TrainConfig, PruneSchedule,
+NoiseSpec): every value is converted by its field's annotated type, and
+an absent key keeps the dataclass default.  [experiment] seed is
+TrainConfig.seed; the synthetic data and an unset [noise] seed derive
+from it, after any override passed to parse_config/load_config.
+Validation collects every violated field before failing.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .data import NoiseSpec, SYNTH_KINDS
 from .errors import ConfigError
@@ -47,7 +55,6 @@ from .nets import CELL_KINDS, TrainConfig
 from .pruning import GAP_KINDS, LAYERS, PruneSchedule
 
 _DATA_SOURCES = ("synth", "idx", "csv")
-_NOISE_TARGETS = ("both", "train", "test")
 
 
 @dataclass
@@ -67,14 +74,25 @@ class DataConfig:
 class ExperimentConfig:
     cell_kind: str = "rnn"
     hidden_size: int = 128
-    seed: int = 0
     output_dir: str = ""
     data: DataConfig = field(default_factory=DataConfig)
     noise: NoiseSpec | None = None
-    noise_apply_to: str = "both"
     train: TrainConfig = field(default_factory=TrainConfig)
     schedule: PruneSchedule = field(default_factory=PruneSchedule)
     policy: tuple[tuple[str, str], ...] = ()
+
+
+def _boolean(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# Converters by annotated type name (every module here postpones annotations).
+_CONVERTERS = {"int": int, "float": float, "str": str, "bool": _boolean}
 
 
 def _parse_policy(text: str):
@@ -91,9 +109,12 @@ def _parse_policy(text: str):
     return tuple(pairs)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate; raises ConfigError listing every violation."""
-    parser = configparser.ConfigParser()
+def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
+    """Parse and validate; raises ConfigError listing every violation.
+
+    ``seed``, when given, replaces [experiment] seed.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -101,71 +122,38 @@ def parse_config(text: str) -> ExperimentConfig:
 
     errors: list[str] = []
 
-    def get(section, option, default, convert):
-        if not parser.has_option(section, option):
-            return default
-        raw = parser.get(section, option)
-        try:
-            return convert(raw)
-        except ValueError as exc:
-            errors.append(f"{section}.{option}: {exc}")
-            return default
+    def read(section, owned_fields) -> dict:
+        """The scalar fields set in ``section``, converted by annotated type."""
+        values = {}
+        for f in owned_fields:
+            convert = _CONVERTERS.get(f.type)
+            if convert is None or not parser.has_option(section, f.name):
+                continue
+            try:
+                values[f.name] = convert(parser.get(section, f.name))
+            except ValueError as exc:
+                errors.append(f"{section}.{f.name}: {exc}")
+        return values
 
-    def boolean(raw: str) -> bool:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-
-    cfg = ExperimentConfig()
-    cfg.cell_kind = get("experiment", "cell_kind", cfg.cell_kind, str).strip()
-    cfg.hidden_size = get("experiment", "hidden_size", cfg.hidden_size, int)
-    cfg.seed = get("experiment", "seed", cfg.seed, int)
-    cfg.output_dir = get("experiment", "output_dir", cfg.output_dir, str).strip()
-
-    data = cfg.data
-    data.source = get("data", "source", data.source, str).strip()
-    data.synth_kind = get("data", "synth_kind", data.synth_kind, str).strip()
-    data.n_samples = get("data", "n_samples", data.n_samples, int)
-    data.k = get("data", "k", data.k, int)
-    data.input_size = get("data", "input_size", data.input_size, int)
-    data.images_path = get("data", "images_path", data.images_path, str).strip()
-    data.labels_path = get("data", "labels_path", data.labels_path, str).strip()
-    data.csv_path = get("data", "csv_path", data.csv_path, str).strip()
-    data.limit = get("data", "limit", data.limit, int)
+    # [experiment] seed is TrainConfig.seed; [train] has no seed key.
+    train_fields = {f.name: f for f in fields(TrainConfig)}
+    seed_field = train_fields.pop("seed")
+    experiment = read("experiment", [*fields(ExperimentConfig), seed_field])
+    file_seed = experiment.pop("seed", seed_field.default)
+    seed = file_seed if seed is None else seed
+    cfg = ExperimentConfig(**experiment, data=DataConfig(**read("data", fields(DataConfig))))
 
     if parser.has_section("noise"):
-        p = get("noise", "p", 0.20, float)
-        sigma = get("noise", "sigma", 0.30, float)
-        noise_seed = get("noise", "seed", cfg.seed, int)
-        cfg.noise_apply_to = get("noise", "apply_to", cfg.noise_apply_to, str).strip()
         try:
-            cfg.noise = NoiseSpec(p=p, sigma=sigma, seed=noise_seed)
+            cfg.noise = NoiseSpec(**{"seed": seed, **read("noise", fields(NoiseSpec))})
         except ValueError as exc:
             errors.append(f"noise: {exc}")
-
-    train_kwargs = dict(
-        learning_rate=get("train", "learning_rate", 0.001, float),
-        train_epochs=get("train", "train_epochs", 20, int),
-        batch_size=get("train", "batch_size", 100, int),
-        beta1=get("train", "beta1", 0.9, float),
-        beta2=get("train", "beta2", 0.999, float),
-        adam_eps=get("train", "adam_eps", 1e-8, float),
-        clip_norm=get("train", "clip_norm", 5.0, float),
-        seed=cfg.seed,
-    )
-    schedule_kwargs = dict(
-        rounds=get("prune", "rounds", 20, int),
-        start_fraction=get("prune", "start_fraction", 1.0, float),
-        final_fraction=get("prune", "final_fraction", 0.01, float),
-        finetune_epochs=get("prune", "finetune_epochs", 2, int),
-        rewind_to_init=get("prune", "rewind_to_init", False, boolean),
-    )
-    policy_text = get("monitor", "policy", "", str)
+    train_values = read("train", train_fields.values())
+    schedule_values = read("prune", fields(PruneSchedule))
+    policy_text = parser.get("monitor", "policy", fallback="")
 
     # structural validation, collecting every problem
+    data = cfg.data
     if cfg.cell_kind not in CELL_KINDS:
         errors.append(f"experiment.cell_kind: {cfg.cell_kind!r} not in {CELL_KINDS}")
     if cfg.hidden_size < 1:
@@ -191,14 +179,12 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"data.csv_path: no such file: {data.csv_path}")
     if data.limit < 0:
         errors.append("data.limit: must be >= 0")
-    if cfg.noise is not None and cfg.noise_apply_to not in _NOISE_TARGETS:
-        errors.append(f"noise.apply_to: {cfg.noise_apply_to!r} not in {_NOISE_TARGETS}")
     try:
-        cfg.train = TrainConfig(**train_kwargs)
+        cfg.train = TrainConfig(**train_values, seed=seed)
     except ValueError as exc:
         errors.append(f"train: {exc}")
     try:
-        cfg.schedule = PruneSchedule(**schedule_kwargs)
+        cfg.schedule = PruneSchedule(**schedule_values)
     except ValueError as exc:
         errors.append(f"prune: {exc}")
     try:
@@ -216,6 +202,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: int | None = None) -> ExperimentConfig:
     with open(path) as f:
-        return parse_config(f.read())
+        return parse_config(f.read(), seed)

@@ -21,6 +21,7 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 SYNTH_KINDS = ("running-parity", "mean-threshold")
+NOISE_TARGETS = ("both", "train", "test")
 
 
 @dataclass(frozen=True)
@@ -65,17 +66,21 @@ class SequenceDataset:
 @dataclass(frozen=True)
 class NoiseSpec:
     """Perturb a fraction p of each sequence's scalar positions with
-    zero-mean Gaussian draws of standard deviation sigma."""
+    zero-mean Gaussian draws of standard deviation sigma, in the train
+    split, the test split, or both (apply_to)."""
 
     p: float = 0.20
     sigma: float = 0.30
     seed: int = 0
+    apply_to: str = "both"
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise DomainError("noise fraction p must lie in [0, 1]")
         if self.sigma < 0.0:
             raise DomainError("sigma must be >= 0")
+        if self.apply_to not in NOISE_TARGETS:
+            raise DomainError(f"apply_to {self.apply_to!r} not in {NOISE_TARGETS}")
 
 
 def _read_exact(f, count, path, what):

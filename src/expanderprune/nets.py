@@ -268,17 +268,7 @@ def loss_and_grads(params: RecurrentParams, mask: PruneMask, sequences, labels):
 
     g_w_xh *= mask.w_xh
     g_w_hh *= mask.w_hh
-    grads = RecurrentParams(
-        cell_kind=params.cell_kind,
-        input_size=params.input_size,
-        hidden_size=params.hidden_size,
-        class_count=params.class_count,
-        w_xh=g_w_xh,
-        w_hh=g_w_hh,
-        w_hy=g_w_hy,
-        b_h=g_b_h,
-        b_y=g_b_y,
-    )
+    grads = replace(params, w_xh=g_w_xh, w_hh=g_w_hh, w_hy=g_w_hy, b_h=g_b_h, b_y=g_b_y)
     return loss, grads
 
 
@@ -349,8 +339,7 @@ def evaluate(params: RecurrentParams, mask: PruneMask, sequences, labels) -> flo
 
 
 def train(params: RecurrentParams, mask: PruneMask, sequences, labels,
-          config: TrainConfig, epochs: int, stream: tuple[int, ...],
-          state: AdamState | None = None) -> RecurrentParams:
+          config: TrainConfig, epochs: int, stream: tuple[int, ...]) -> RecurrentParams:
     """Epoch loop of shuffled minibatch Adam steps.
 
     ``stream`` is a tuple of counters (phase, round, ...) mixed with the
@@ -363,8 +352,7 @@ def train(params: RecurrentParams, mask: PruneMask, sequences, labels,
     if n == 0:
         raise DomainError("training set is empty")
     params = apply_mask(params.copy(), mask)
-    if state is None:
-        state = AdamState.zeros(params)
+    state = AdamState.zeros(params)
     for epoch in range(epochs):
         order = np.random.default_rng((config.seed, *stream, epoch)).permutation(n)
         for start in range(0, n, config.batch_size):

@@ -237,13 +237,14 @@ def save_trajectory(trajectory: PruneTrajectory, path) -> None:
             f.write(dump_json_line(record.as_dict()) + "\n")
 
 
+def _parse_records(lines, path) -> list[PruneRecord]:
+    return [PruneRecord.from_dict(parse_json_line(line, path, line_no))
+            for line_no, line in enumerate(lines, start=1) if line.strip()]
+
+
 def load_trajectory(path) -> PruneTrajectory:
-    records = []
     with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            if line.strip():
-                records.append(PruneRecord.from_dict(parse_json_line(line, path, line_no)))
-    return PruneTrajectory(records=records)
+        return PruneTrajectory(records=_parse_records(f, path))
 
 
 def _checkpoint_path(out_dir, round_index) -> str:
@@ -251,10 +252,15 @@ def _checkpoint_path(out_dir, round_index) -> str:
 
 
 def _resume_state(out_dir, trajectory_path):
-    """Longest usable prefix of a previous run: records 0..R with checkpoints."""
+    """Longest usable prefix of a previous run: records 0..R with checkpoints.
+
+    An unterminated last line is a record whose append was cut short, so
+    it counts as absent.
+    """
     if not (out_dir and os.path.exists(trajectory_path)):
         return None
-    records = load_trajectory(trajectory_path).records
+    with open(trajectory_path) as f:
+        records = _parse_records([line for line in f if line.endswith("\n")], trajectory_path)
     usable = []
     for expected_round, record in enumerate(records):
         if record.round != expected_round:
@@ -268,19 +274,17 @@ def _resume_state(out_dir, trajectory_path):
     return usable, params, mask
 
 
-def split_dataset(dataset: SequenceDataset, seed: int, noise: NoiseSpec | None = None,
-                  noise_apply_to: str = "both") -> tuple[SequenceDataset, SequenceDataset]:
+def split_dataset(dataset: SequenceDataset, seed: int,
+                  noise: NoiseSpec | None = None) -> tuple[SequenceDataset, SequenceDataset]:
     """The seeded train/test split (TEST_FRACTION held out), then ``noise``
-    applied to the train split, the test split, or both (``noise_apply_to``)."""
+    applied to the split or splits its ``apply_to`` names."""
     if dataset.n < 2:
         raise DomainError("dataset too small to split")
-    if noise_apply_to not in ("both", "train", "test"):
-        raise DomainError(f"noise_apply_to must be both/train/test, got {noise_apply_to!r}")
     train_ds, test_ds = train_test_split(dataset, TEST_FRACTION, seed=seed)
     if noise is not None:
-        if noise_apply_to in ("both", "train"):
+        if noise.apply_to in ("both", "train"):
             train_ds = add_noise(train_ds, noise)
-        if noise_apply_to in ("both", "test"):
+        if noise.apply_to in ("both", "test"):
             test_ds = add_noise(test_ds, noise)
     return train_ds, test_ds
 
@@ -321,8 +325,7 @@ def _check_run_config(out_dir, snapshot: dict) -> None:
 
 def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDataset,
             *, cell_kind: str = "rnn", hidden_size: int = 128,
-            out_dir=None, policy=(),
-            noise: NoiseSpec | None = None, noise_apply_to: str = "both") -> PruneTrajectory:
+            out_dir=None, policy=(), noise: NoiseSpec | None = None) -> PruneTrajectory:
     """Full IMP trajectory on the train/test split of ``dataset`` (split_dataset).
 
     Round 0 is the dense baseline after config.train_epochs of training
@@ -333,8 +336,7 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
     layer and gap kind) stops the run after the first monitored zero
     crossing.
 
-    ``noise`` perturbs the train split, the test split, or both
-    (``noise_apply_to``) after splitting.
+    ``noise`` perturbs the splits its ``apply_to`` names after splitting.
 
     With ``out_dir`` set, each round is persisted (trajectory.jsonl plus
     round_NNN.ckpt) and a rerun resumes after the last complete round,
@@ -347,11 +349,14 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
     for layer, kind in policy:
         _check_layer(layer)
         _split_kind(kind)
-    train_ds, test_ds = split_dataset(dataset, config.seed, noise, noise_apply_to)
+    train_ds, test_ds = split_dataset(dataset, config.seed, noise)
 
     trajectory_path = os.path.join(out_dir, "trajectory.jsonl") if out_dir else None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        noise_fields = asdict(noise or NoiseSpec())
+        # the target keeps its own top-level key, as in earlier snapshots
+        noise_apply_to = noise_fields.pop("apply_to")
         _check_run_config(out_dir, {
             "cell_kind": cell_kind,
             "hidden_size": hidden_size,
@@ -359,7 +364,7 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
             "train": asdict(config),
             "schedule": asdict(schedule),
             "policy": [list(pair) for pair in policy],
-            "noise": asdict(noise) if noise is not None else None,
+            "noise": noise_fields if noise is not None else None,
             "noise_apply_to": noise_apply_to,
             "dataset": _dataset_digest(dataset),
         })
@@ -370,9 +375,9 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
                           cell_kind, seed=config.seed)
     if resumed is not None:
         trajectory.records, params, mask = resumed
-        if trajectory_path:
-            save_trajectory(trajectory, trajectory_path)  # drop any dangling tail
-    else:
+    if trajectory_path:
+        save_trajectory(trajectory, trajectory_path)  # drop any dangling or torn tail
+    if resumed is None:
         params, mask = train_dense(config, initial, train_ds)
         record = _make_record(0, params, mask, test_ds, previous=None)
         _persist_round(out_dir, trajectory_path, record, params, mask)

@@ -167,6 +167,45 @@ def test_prune_seed_override_refuses_mismatched_resume(tmp_path, capsys):
     assert err.startswith("error: ECONFIG:")
 
 
+def test_seed_override_equals_seed_in_file(tmp_path, capsys):
+    overridden = tmp_path / "overridden.ini"
+    overridden.write_text(CONFIG.format(out=tmp_path / "a") + NOISE)
+    code, _, _ = run_cli(capsys, "prune", "--config", str(overridden), "--seed", "5")
+    assert code == 0
+    in_file = tmp_path / "in_file.ini"
+    in_file.write_text(CONFIG.replace("seed = 3", "seed = 5").format(out=tmp_path / "b") + NOISE)
+    code, _, _ = run_cli(capsys, "prune", "--config", str(in_file))
+    assert code == 0
+    for name in ("run_config.json", "trajectory.jsonl"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# run_config.json as earlier versions wrote it for CONFIG and CONFIG + NOISE;
+# directories holding these bytes must keep resuming.
+SNAPSHOT = (
+    '{"cell_kind":"rnn","dataset":{"class_count":2,'
+    '"sha256":"3fb04c5eb06edca3ed819aa2c14f02d6c1131ffc3b2edd096fc041657b8602f2",'
+    '"shape":[80,4,3]},"hidden_size":6,"noise":NOISE,"noise_apply_to":TARGET,"policy":[],'
+    '"schedule":{"final_fraction":0.05,"finetune_epochs":1,"rewind_to_init":false,'
+    '"rounds":3,"start_fraction":1.0},"test_fraction":0.2,'
+    '"train":{"adam_eps":1e-08,"batch_size":20,"beta1":0.9,"beta2":0.999,"clip_norm":5.0,'
+    '"learning_rate":0.003,"seed":3,"train_epochs":2}}\n'
+)
+
+
+@pytest.mark.parametrize("noise, snapshot", [
+    ("", SNAPSHOT.replace("NOISE", "null").replace("TARGET", '"both"')),
+    (NOISE, SNAPSHOT.replace("NOISE", '{"p":0.2,"seed":3,"sigma":0.3}')
+                    .replace("TARGET", '"train"')),
+])
+def test_run_config_snapshot_bytes_are_pinned(tmp_path, capsys, noise, snapshot):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "run") + noise)
+    code, _, _ = run_cli(capsys, "prune", "--config", str(config_path))
+    assert code == 0
+    assert (tmp_path / "run" / "run_config.json").read_text() == snapshot
+
+
 def test_train_checkpoint_equals_prune_round_zero(tmp_path, capsys):
     config_path = tmp_path / "exp.ini"
     config_path.write_text(CONFIG.format(out=tmp_path / "run") + NOISE)

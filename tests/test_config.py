@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from expanderprune.config import load_config, parse_config
@@ -36,7 +39,6 @@ def test_parse_minimal():
     cfg = parse_config(MINIMAL)
     assert cfg.cell_kind == "lstm"
     assert cfg.hidden_size == 32
-    assert cfg.seed == 7
     assert cfg.train.learning_rate == 0.003
     assert cfg.train.batch_size == 25
     assert cfg.train.seed == 7
@@ -61,7 +63,7 @@ def test_noise_section_optional():
     assert cfg.noise is not None
     assert cfg.noise.p == 0.2
     assert cfg.noise.sigma == 0.45
-    assert cfg.noise_apply_to == "train"
+    assert cfg.noise.apply_to == "train"
 
 
 def test_validation_lists_every_violation():
@@ -117,3 +119,34 @@ def test_load_config_reads_file(tmp_path):
     path.write_text(MINIMAL)
     cfg = load_config(path)
     assert cfg.cell_kind == "lstm"
+
+
+def test_readme_config_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    cfg = parse_config(block)
+    assert (cfg.cell_kind, cfg.hidden_size, cfg.train.seed) == ("lstm", 32, 7)
+    assert cfg.data.source == "synth"
+    noise = cfg.noise
+    assert (noise.p, noise.sigma, noise.seed, noise.apply_to) == (0.2, 0.3, 7, "both")
+    assert cfg.schedule.rewind_to_init is False
+    assert cfg.policy == ()
+
+
+def test_seed_override_moves_every_derived_seed():
+    cfg = parse_config(MINIMAL + "\n[noise]\np = 0.2\n", seed=99)
+    assert (cfg.train.seed, cfg.noise.seed) == (99, 99)
+    cfg = parse_config(MINIMAL + "\n[noise]\nseed = 5\n", seed=99)
+    assert (cfg.train.seed, cfg.noise.seed) == (99, 5)
+
+
+def test_conversion_and_noise_target_errors_name_their_field():
+    text = (MINIMAL.replace("batch_size = 25", "batch_size = 25\nbeta1 = fast")
+            .replace("finetune_epochs = 2", "finetune_epochs = 2\nrewind_to_init = maybe")
+            + "\n[noise]\napply_to = sideways\n")
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(text)
+    message = str(exc_info.value)
+    assert "train.beta1: could not convert string to float: 'fast'" in message
+    assert "prune.rewind_to_init: not a boolean: 'maybe'" in message
+    assert "noise: apply_to 'sideways' not in ('both', 'train', 'test')" in message

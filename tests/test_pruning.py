@@ -235,6 +235,26 @@ def test_run_imp_ignores_dangling_records_without_checkpoints(tmp_path):
     assert (partial / "trajectory.jsonl").read_bytes() == full_path.read_bytes()
 
 
+@pytest.mark.parametrize("torn_round", [0, 3])
+def test_run_imp_resumes_after_torn_trajectory_append(tmp_path, torn_round):
+    # A run killed while appending round R's line leaves rounds 0..R's
+    # checkpoints and a prefix of that line with no newline.
+    tiny_run(tmp_path / "full")
+    full = {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()}
+    lines = full["trajectory.jsonl"].splitlines(keepends=True)
+    torn = lines[torn_round]
+    for cut in (1, 2, len(torn) // 2, len(torn) - 2, len(torn) - 1):
+        partial = tmp_path / f"cut{cut}"
+        partial.mkdir()
+        (partial / "run_config.json").write_bytes(full["run_config.json"])
+        for r in range(torn_round + 1):
+            name = f"round_{r:03d}.ckpt"
+            (partial / name).write_bytes(full[name])
+        (partial / "trajectory.jsonl").write_bytes(b"".join(lines[:torn_round]) + torn[:cut])
+        tiny_run(partial)
+        assert {p.name: p.read_bytes() for p in partial.iterdir()} == full
+
+
 @pytest.mark.parametrize("change", ["seed", "schedule", "noise", "dataset"])
 def test_run_imp_refuses_resume_under_changed_config(tmp_path, change):
     ds = synth_task("mean-threshold", 80, 4, 3, seed=3)
