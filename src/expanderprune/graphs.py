@@ -56,14 +56,6 @@ class BipartiteGraph:
     mode: str
     degenerate: bool  # True iff the graph has no edges
 
-    @property
-    def left_size(self) -> int:
-        return self.biadjacency.shape[0]
-
-    @property
-    def right_size(self) -> int:
-        return self.biadjacency.shape[1]
-
 
 @dataclass(frozen=True)
 class DegreeStats:

@@ -7,11 +7,11 @@ unweighted spectral reports for both layers.  The resulting trajectory
 is the object of study: accuracy versus the remaining-edge fraction,
 annotated with the first zero crossing of each spectral gap.
 
-Runs are deterministic for a fixed seed and resumable: every round
-writes a checkpoint plus one JSON line, and a restarted run continues
-from the last complete round with bit-identical output.  This module is
-the only place that splits the data, trains the dense model and decides
-whether a directory may be resumed, for library and CLI callers alike.
+Runs are deterministic for the same seed and the same numeric
+environment, and resumable: RunDirectory alone decides what a run
+directory holds and how much of it a restarted run keeps.  This module
+is the only place that splits the data and trains the dense model, for
+library and CLI callers alike.
 """
 
 from __future__ import annotations
@@ -237,41 +237,75 @@ def save_trajectory(trajectory: PruneTrajectory, path) -> None:
             f.write(dump_json_line(record.as_dict()) + "\n")
 
 
-def _parse_records(lines, path) -> list[PruneRecord]:
-    return [PruneRecord.from_dict(parse_json_line(line, path, line_no))
-            for line_no, line in enumerate(lines, start=1) if line.strip()]
-
-
 def load_trajectory(path) -> PruneTrajectory:
     with open(path) as f:
-        return PruneTrajectory(records=_parse_records(f, path))
+        return PruneTrajectory(records=[PruneRecord.from_dict(parse_json_line(line, path, line_no))
+                                        for line_no, line in enumerate(f, start=1) if line.strip()])
 
 
-def _checkpoint_path(out_dir, round_index) -> str:
-    return os.path.join(out_dir, f"round_{round_index:03d}.ckpt")
+class RunDirectory:
+    """The files of one resumable IMP run.
 
-
-def _resume_state(out_dir, trajectory_path):
-    """Longest usable prefix of a previous run: records 0..R with checkpoints.
-
-    An unterminated last line is a record whose append was cut short, so
-    it counts as absent.
+    ``run_config.json`` is the run's snapshot (one canonical JSON line),
+    ``round_NNN.ckpt`` the model after round NNN, and ``trajectory.jsonl``
+    one line per round.  A run killed at any byte leaves a directory that
+    resumes to the bytes of an uninterrupted run: the snapshot is written
+    to a temp file and moved into place, each checkpoint is written before
+    its line, and a line counts only once it ends in a newline.
     """
-    if not (out_dir and os.path.exists(trajectory_path)):
-        return None
-    with open(trajectory_path) as f:
-        records = _parse_records([line for line in f if line.endswith("\n")], trajectory_path)
-    usable = []
-    for expected_round, record in enumerate(records):
-        if record.round != expected_round:
-            break
-        if not os.path.exists(_checkpoint_path(out_dir, expected_round)):
-            break
-        usable.append(record)
-    if not usable:
-        return None
-    params, mask = load_checkpoint(_checkpoint_path(out_dir, usable[-1].round))
-    return usable, params, mask
+
+    def __init__(self, path, snapshot: dict):
+        """Make ``path`` and check its snapshot against ``snapshot``, which
+        a directory without one gets.  A differing snapshot raises
+        ConfigError before anything is written."""
+        os.makedirs(path, exist_ok=True)
+        self._path = path
+        self._trajectory_path = os.path.join(path, "trajectory.jsonl")
+        config_path = os.path.join(path, "run_config.json")
+        text = dump_json_line(snapshot)
+        if os.path.exists(config_path):
+            with open(config_path) as f:
+                if f.read().strip() != text:
+                    raise ConfigError(f"{config_path}: existing run was produced by a different configuration")
+        else:
+            temp_path = config_path + ".tmp"
+            with open(temp_path, "w", newline="") as f:
+                f.write(text + "\n")
+            os.replace(temp_path, config_path)
+
+    def _checkpoint(self, round_index) -> str:
+        return os.path.join(self._path, f"round_{round_index:03d}.ckpt")
+
+    def resume(self):
+        """The usable prefix of an earlier run and the model it ended with.
+
+        The prefix is records 0..R whose lines end in a newline and whose
+        checkpoints exist; trajectory.jsonl is cut back to its end.
+        Returns (records, params, mask), with params and mask None when no
+        round is usable.
+        """
+        records, end = [], 0
+        if os.path.exists(self._trajectory_path):
+            with open(self._trajectory_path, "rb") as f:
+                for line_no, line in enumerate(f, start=1):
+                    if not line.endswith(b"\n"):
+                        break
+                    record = PruneRecord.from_dict(parse_json_line(line.decode(), self._trajectory_path, line_no))
+                    if record.round != len(records) or not os.path.exists(self._checkpoint(record.round)):
+                        break
+                    records.append(record)
+                    end += len(line)
+            os.truncate(self._trajectory_path, end)
+        if not records:
+            return records, None, None
+        params, mask = load_checkpoint(self._checkpoint(records[-1].round))
+        return records, params, mask
+
+    def append(self, record: PruneRecord, params: RecurrentParams, mask: PruneMask) -> None:
+        """Persist one round: its checkpoint, then the line that commits it."""
+        save_checkpoint(self._checkpoint(record.round), params, mask)
+        with open(self._trajectory_path, "a", newline="") as f:
+            f.write(dump_json_line(record.as_dict()) + "\n")
 
 
 def split_dataset(dataset: SequenceDataset, seed: int,
@@ -309,20 +343,6 @@ def _dataset_digest(dataset: SequenceDataset) -> dict:
     }
 
 
-def _check_run_config(out_dir, snapshot: dict) -> None:
-    """Refuse to resume a directory written under a different snapshot;
-    a directory without one gets this run's snapshot."""
-    path = os.path.join(out_dir, "run_config.json")
-    text = dump_json_line(snapshot)
-    if os.path.exists(path):
-        with open(path) as f:
-            if f.read().strip() != text:
-                raise ConfigError(f"{path}: existing run was produced by a different configuration")
-    else:
-        with open(path, "w", newline="") as f:
-            f.write(text + "\n")
-
-
 def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDataset,
             *, cell_kind: str = "rnn", hidden_size: int = 128,
             out_dir=None, policy=(), noise: NoiseSpec | None = None) -> PruneTrajectory:
@@ -338,26 +358,25 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
 
     ``noise`` perturbs the splits its ``apply_to`` names after splitting.
 
-    With ``out_dir`` set, each round is persisted (trajectory.jsonl plus
-    round_NNN.ckpt) and a rerun resumes after the last complete round,
-    reproducing an uninterrupted run byte for byte.  The directory's
-    run_config.json records the model, training config, schedule,
-    policy, noise and a sha256 of the dataset (not the output path); a
-    rerun whose snapshot differs raises ConfigError before anything is
-    trained or written.
+    With ``out_dir`` set, every round is appended to that RunDirectory,
+    and a rerun resumes after its usable prefix, reproducing an
+    uninterrupted run byte for byte.  The snapshot records the model,
+    training config, schedule, policy, noise and a sha256 of the dataset
+    (not the output path); a rerun whose snapshot differs raises
+    ConfigError before anything is trained or written.
     """
     for layer, kind in policy:
         _check_layer(layer)
         _split_kind(kind)
     train_ds, test_ds = split_dataset(dataset, config.seed, noise)
 
-    trajectory_path = os.path.join(out_dir, "trajectory.jsonl") if out_dir else None
+    run_dir = None
+    trajectory = PruneTrajectory()
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         noise_fields = asdict(noise or NoiseSpec())
         # the target keeps its own top-level key, as in earlier snapshots
         noise_apply_to = noise_fields.pop("apply_to")
-        _check_run_config(out_dir, {
+        run_dir = RunDirectory(out_dir, {
             "cell_kind": cell_kind,
             "hidden_size": hidden_size,
             "test_fraction": TEST_FRACTION,
@@ -368,48 +387,33 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
             "noise_apply_to": noise_apply_to,
             "dataset": _dataset_digest(dataset),
         })
-
-    trajectory = PruneTrajectory()
-    resumed = _resume_state(out_dir, trajectory_path) if out_dir else None
+        trajectory.records, params, mask = run_dir.resume()
     initial = init_params(dataset.input_size, hidden_size, dataset.class_count,
                           cell_kind, seed=config.seed)
-    if resumed is not None:
-        trajectory.records, params, mask = resumed
-    if trajectory_path:
-        save_trajectory(trajectory, trajectory_path)  # drop any dangling or torn tail
-    if resumed is None:
-        params, mask = train_dense(config, initial, train_ds)
-        record = _make_record(0, params, mask, test_ds, previous=None)
-        _persist_round(out_dir, trajectory_path, record, params, mask)
-        trajectory.records.append(record)
 
-    start_round = trajectory.records[-1].round + 1
-    for round_index in range(start_round, schedule.rounds + 1):
+    for round_index in range(len(trajectory.records), schedule.rounds + 1):
         if stop_criterion(trajectory, policy):
             break
-        q_t = schedule.keep_fraction(round_index)
-        new_mask = PruneMask(
-            magnitude_prune(params.w_xh, mask.w_xh, q_t),
-            magnitude_prune(params.w_hh, mask.w_hh, q_t),
-        )
-        changed = (new_mask.w_xh != mask.w_xh).any() or (new_mask.w_hh != mask.w_hh).any()
-        mask = new_mask
-        if schedule.rewind_to_init:
-            params = initial.copy()
-        params = apply_mask(params, mask)
-        if changed and schedule.finetune_epochs > 0:
-            params = train(params, mask, train_ds.sequences, train_ds.labels,
-                           config, schedule.finetune_epochs,
-                           stream=(_STREAM_FINETUNE, round_index))
-        record = _make_record(round_index, params, mask, test_ds, trajectory.records[-1])
-        _persist_round(out_dir, trajectory_path, record, params, mask)
+        if round_index == 0:
+            params, mask = train_dense(config, initial, train_ds)
+        else:
+            q_t = schedule.keep_fraction(round_index)
+            new_mask = PruneMask(
+                magnitude_prune(params.w_xh, mask.w_xh, q_t),
+                magnitude_prune(params.w_hh, mask.w_hh, q_t),
+            )
+            changed = (new_mask.w_xh != mask.w_xh).any() or (new_mask.w_hh != mask.w_hh).any()
+            mask = new_mask
+            if schedule.rewind_to_init:
+                params = initial.copy()
+            params = apply_mask(params, mask)
+            if changed and schedule.finetune_epochs > 0:
+                params = train(params, mask, train_ds.sequences, train_ds.labels,
+                               config, schedule.finetune_epochs,
+                               stream=(_STREAM_FINETUNE, round_index))
+        previous = trajectory.records[-1] if trajectory.records else None
+        record = _make_record(round_index, params, mask, test_ds, previous)
+        if run_dir is not None:
+            run_dir.append(record, params, mask)
         trajectory.records.append(record)
     return trajectory
-
-
-def _persist_round(out_dir, trajectory_path, record, params, mask) -> None:
-    if not out_dir:
-        return
-    save_checkpoint(_checkpoint_path(out_dir, record.round), params, mask)
-    with open(trajectory_path, "a", newline="") as f:
-        f.write(dump_json_line(record.as_dict()) + "\n")

@@ -5,12 +5,40 @@ traced benchmark run (``benchmarks/run.py --trace 1``) fails."""
 import importlib
 from pathlib import Path
 
+from expanderprune.data import synth_task
+from expanderprune.nets import TrainConfig
+from expanderprune.pruning import PruneSchedule, run_imp
+
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def test_every_traced_name_exists(monkeypatch):
+def _tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_every_traced_name_exists(monkeypatch):
+    tracing = _tracing(monkeypatch)
     missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in tracing.TARGETS
                if not hasattr(module, attr)]
     assert not missing
+
+
+def test_traced_run_counts_every_round_and_checkpoint_byte(monkeypatch, tmp_path):
+    # The traced metrics count checkpoints and their bytes at the name
+    # pruning.save_checkpoint, stat-ing its path argument once the call
+    # returns, and reports at pruning.layer_reports.  A checkpoint written
+    # around that name, or written twice, would skew them without an error.
+    tracing = _tracing(monkeypatch)
+    ds = synth_task("mean-threshold", 80, 4, 3, seed=3)
+    cfg = TrainConfig(seed=3, train_epochs=1, batch_size=20)
+    sched = PruneSchedule(rounds=2, final_fraction=0.05, finetune_epochs=1)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        trajectory = run_imp(cfg, sched, ds, cell_kind="rnn", hidden_size=6, out_dir=str(tmp_path))
+    table = tracing.summarize(tracer)
+    rounds = len(trajectory.records)
+    assert table["formats.save_checkpoint"]["calls"] == rounds
+    assert table["formats.save_checkpoint"]["count"] == sum(
+        p.stat().st_size for p in tmp_path.glob("round_*.ckpt"))
+    assert table["pruning.layer_reports"]["calls"] == rounds

@@ -275,3 +275,84 @@ def test_run_imp_refuses_resume_under_changed_config(tmp_path, change):
     with pytest.raises(ConfigError):
         run_imp(cfg, sched, ds, **kwargs)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+class Killed(BaseException):
+    """Stands for the process dying in the middle of a write."""
+
+
+class _CutWriter:
+    """A file opened for writing whose writes stop when a shared byte
+    budget runs out: the prefix that fits reaches the file, then Killed."""
+
+    def __init__(self, f, budget):
+        self._f = f
+        self._budget = budget
+
+    def write(self, data):
+        left = self._budget[0]
+        self._budget[0] = max(left - len(data), 0)
+        if len(data) > left:
+            self._f.write(data[:left])
+            raise Killed
+        return self._f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._f.close()
+
+
+def killed_run(monkeypatch, out, budget):
+    """tiny_run into ``out``, killed once ``budget`` bytes have been written."""
+    real_open = open
+    left = [budget]
+
+    def cut_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return _CutWriter(f, left) if set(mode) & set("wax") else f
+
+    with monkeypatch.context() as patch:
+        patch.setattr("builtins.open", cut_open)
+        with pytest.raises(Killed):
+            tiny_run(out)
+
+
+def _write_budgets(full):
+    """Byte budgets in the order a fresh run writes: 0, 1, half and len-1 of
+    the snapshot, then inside round 0's checkpoint, inside round 0's line
+    and inside the last round's line."""
+    snapshot = len(full["run_config.json"])
+    checkpoint = len(full["round_000.ckpt"])
+    lines = full["trajectory.jsonl"].splitlines(keepends=True)
+    total = sum(len(data) for data in full.values())
+    return {
+        "snapshot-0": 0,
+        "snapshot-1": 1,
+        "snapshot-half": snapshot // 2,
+        "snapshot-last": snapshot - 1,
+        "checkpoint-0": snapshot + checkpoint // 2,
+        "line-0": snapshot + checkpoint + len(lines[0]) // 2,
+        "line-last": total - len(lines[-1]) // 2,
+    }
+
+
+@pytest.mark.parametrize("kills", [1, 2])
+@pytest.mark.parametrize("where", ["snapshot-0", "snapshot-1", "snapshot-half", "snapshot-last",
+                                   "checkpoint-0", "line-0", "line-last"])
+def test_run_imp_killed_at_any_byte_resumes_to_the_same_bytes(tmp_path, monkeypatch, where, kills):
+    tiny_run(tmp_path / "full")
+    full = {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()}
+    budget = _write_budgets(full)[where]
+    out = tmp_path / "killed"
+    killed_run(monkeypatch, out, budget)
+    if kills == 2:
+        # Every rerun first writes the snapshot or a whole checkpoint, so
+        # this smaller budget kills it inside that first file.
+        killed_run(monkeypatch, out, min(budget, len(full["round_000.ckpt"])) // 2)
+    tiny_run(out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == full
