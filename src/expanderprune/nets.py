@@ -16,6 +16,17 @@ dense.  Masked entries are held at exactly 0: forward multiplies the
 mask in, gradients are zeroed, and Adam consequently never moves them.
 Training is deterministic for a fixed seed (single-threaded batch loop,
 counter-derived shuffles).
+
+The inference pass behind ``forward`` and ``evaluate`` keeps only the
+running h and c (``forward`` also collects the h_t it returns), and
+``evaluate`` feeds it 512-row chunks.  Only ``loss_and_grads``
+builds the BPTT cache: a (k+1, n, H) state stack and each LSTM step's
+gates.  Every floating-point operation of both passes keeps the
+operands, order and association of the per-step reference in
+``tests/oracles.py``, so losses, gradients and trained weights equal it
+bit for bit.  The one exception is hidden size 1, where BLAS takes a
+vector kernel whose summation depends on the stride of the (n, 1)
+state column.
 """
 
 from __future__ import annotations
@@ -138,10 +149,6 @@ def init_params(input_size: int, hidden_size: int, class_count: int,
     )
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _check_sequences(params: RecurrentParams, sequences) -> tuple[np.ndarray, bool]:
     xs = np.asarray(sequences, dtype=np.float64)
     single = xs.ndim == 2
@@ -154,36 +161,42 @@ def _check_sequences(params: RecurrentParams, sequences) -> tuple[np.ndarray, bo
     return xs, single
 
 
-def _run_forward(params: RecurrentParams, mask: PruneMask, xs: np.ndarray):
-    """Shared forward pass; returns logits plus the caches BPTT needs."""
+def _check_labels(labels, n: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
+    return labels
+
+
+def _lstm_cell(z: np.ndarray, c: np.ndarray, H: int):
+    """Gates (i, f, g, o), the new cell state and its tanh from pre-activations z.
+
+    Every sigmoid is 1 / (1 + exp(-z)) elementwise, with the exp taken once
+    over the whole (n, 4H) row.
+    """
+    e = 1.0 + np.exp(-z)
+    i = 1.0 / e[:, :H]
+    f = 1.0 / e[:, H:2 * H]
+    g = np.tanh(z[:, 2 * H:3 * H])
+    o = 1.0 / e[:, 3 * H:]
+    c = f * c + i * g
+    return i, f, g, o, c, np.tanh(c)
+
+
+def _hidden_states(params: RecurrentParams, mask: PruneMask, xs: np.ndarray):
+    """Yield h_1, ..., h_k of the inference pass, keeping only the running h and c."""
     n, k, _ = xs.shape
-    H = params.hidden_size
     w_xh = params.w_xh * mask.w_xh
     w_hh = params.w_hh * mask.w_hh
-    h = np.zeros((n, H))
-    hs = np.zeros((n, k, H))
-    cache = []
-    if params.cell_kind == RNN:
-        for t in range(k):
-            h = np.tanh(xs[:, t] @ w_xh.T + h @ w_hh.T + params.b_h)
-            hs[:, t] = h
-        cache = None
-    else:
-        c = np.zeros((n, H))
-        for t in range(k):
-            z = xs[:, t] @ w_xh.T + h @ w_hh.T + params.b_h
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H:2 * H])
-            g = np.tanh(z[:, 2 * H:3 * H])
-            o = _sigmoid(z[:, 3 * H:])
-            c_prev = c
-            c = f * c_prev + i * g
-            tanh_c = np.tanh(c)
+    h = c = np.zeros((n, params.hidden_size))
+    for t in range(k):
+        z = xs[:, t] @ w_xh.T + h @ w_hh.T + params.b_h
+        if params.cell_kind == RNN:
+            h = np.tanh(z)
+        else:
+            _, _, _, o, c, tanh_c = _lstm_cell(z, c, params.hidden_size)
             h = o * tanh_c
-            hs[:, t] = h
-            cache.append((i, f, g, o, c_prev, tanh_c))
-    logits = hs[:, -1] @ params.w_hy.T + params.b_y
-    return logits, hs, cache, w_xh, w_hh
+        yield h
 
 
 def forward(params: RecurrentParams, mask: PruneMask, sequences):
@@ -193,7 +206,8 @@ def forward(params: RecurrentParams, mask: PruneMask, sequences):
     vector; a batch (n, k, input_size) returns (n, class_count).
     """
     xs, single = _check_sequences(params, sequences)
-    logits, hs, _, _, _ = _run_forward(params, mask, xs)
+    hs = np.stack(list(_hidden_states(params, mask, xs)), axis=1)
+    logits = hs[:, -1] @ params.w_hy.T + params.b_y
     if single:
         return logits[0], hs[0]
     return logits, hs
@@ -219,17 +233,30 @@ def loss_and_grads(params: RecurrentParams, mask: PruneMask, sequences, labels):
     (loss, grads) with grads shaped like the parameters.
     """
     xs, _ = _check_sequences(params, sequences)
-    labels = np.asarray(labels)
-    if labels.shape != (xs.shape[0],):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch {xs.shape[0]}")
-    if xs.shape[0] == 0:
+    n, k, _ = xs.shape
+    labels = _check_labels(labels, n)
+    if n == 0:
         raise DomainError("batch is empty")
-    logits, hs, cache, w_xh, w_hh = _run_forward(params, mask, xs)
+    H = params.hidden_size
+    w_xh = params.w_xh * mask.w_xh
+    w_hh = params.w_hh * mask.w_hh
+    hs = np.zeros((k + 1, n, H))  # hs[t] = h_t, so hs[0] = h_0 = 0
+    if params.cell_kind == RNN:
+        for t in range(k):
+            np.tanh(xs[:, t] @ w_xh.T + hs[t] @ w_hh.T + params.b_h, out=hs[t + 1])
+    else:
+        cache = []
+        c = hs[0]
+        for t in range(k):
+            z = xs[:, t] @ w_xh.T + hs[t] @ w_hh.T + params.b_h
+            i, f, g, o, c_next, tanh_c = _lstm_cell(z, c, H)
+            np.multiply(o, tanh_c, out=hs[t + 1])
+            cache.append((i, f, g, o, c, tanh_c))
+            c = c_next
+    logits = hs[k] @ params.w_hy.T + params.b_y
     loss, dlogits = softmax_cross_entropy(logits, labels)
 
-    n, k, _ = xs.shape
-    H = params.hidden_size
-    g_w_hy = dlogits.T @ hs[:, -1]
+    g_w_hy = dlogits.T @ hs[k]
     g_b_y = dlogits.sum(axis=0)
     g_w_xh = np.zeros_like(params.w_xh)
     g_w_hh = np.zeros_like(params.w_hh)
@@ -238,20 +265,19 @@ def loss_and_grads(params: RecurrentParams, mask: PruneMask, sequences, labels):
 
     if params.cell_kind == RNN:
         for t in range(k - 1, -1, -1):
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros((n, H))
-            dpre = dh * (1.0 - hs[:, t] ** 2)
+            dpre = dh * (1.0 - hs[t + 1] ** 2)
             g_w_xh += dpre.T @ xs[:, t]
-            g_w_hh += dpre.T @ h_prev
+            g_w_hh += dpre.T @ hs[t]
             g_b_h += dpre.sum(axis=0)
             dh = dpre @ w_hh
     else:
         dc = np.zeros((n, H))
+        dz = np.empty((n, 4 * H))
         for t in range(k - 1, -1, -1):
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros((n, H))
             i, f, g, o, c_prev, tanh_c = cache[t]
             do = dh * tanh_c
             dc = dc + dh * o * (1.0 - tanh_c ** 2)
-            dz = np.concatenate(
+            np.concatenate(
                 [
                     dc * g * i * (1.0 - i),
                     dc * c_prev * f * (1.0 - f),
@@ -259,9 +285,10 @@ def loss_and_grads(params: RecurrentParams, mask: PruneMask, sequences, labels):
                     do * o * (1.0 - o),
                 ],
                 axis=1,
+                out=dz,
             )
             g_w_xh += dz.T @ xs[:, t]
-            g_w_hh += dz.T @ h_prev
+            g_w_hh += dz.T @ hs[t]
             g_b_h += dz.sum(axis=0)
             dh = dz @ w_hh
             dc = dc * f
@@ -298,8 +325,9 @@ def adam_step(params: RecurrentParams, grads: RecurrentParams,
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
     new = {}
+    grad_tensors = grads.tensors()
     for name, value in params.tensors().items():
-        g = grads.tensors()[name]
+        g = grad_tensors[name]
         if g.shape != value.shape:
             raise ShapeError(f"gradient shape mismatch for {name}")
         state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
@@ -327,13 +355,14 @@ def clip_gradients(grads: RecurrentParams, max_norm: float) -> RecurrentParams:
 def evaluate(params: RecurrentParams, mask: PruneMask, sequences, labels) -> float:
     """Fraction of sequences whose argmax logit matches the label."""
     xs, _ = _check_sequences(params, sequences)
-    labels = np.asarray(labels)
+    labels = _check_labels(labels, xs.shape[0])
     if xs.shape[0] == 0:
         raise DomainError("dataset is empty")
     hits = 0
     for start in range(0, xs.shape[0], 512):
-        chunk = xs[start:start + 512]
-        logits, _, _, _, _ = _run_forward(params, mask, chunk)
+        for h in _hidden_states(params, mask, xs[start:start + 512]):
+            pass
+        logits = h @ params.w_hy.T + params.b_y
         hits += int(np.count_nonzero(np.argmax(logits, axis=1) == labels[start:start + 512]))
     return hits / xs.shape[0]
 
@@ -347,8 +376,8 @@ def train(params: RecurrentParams, mask: PruneMask, sequences, labels,
     (seed, stream) pair replays identically.
     """
     xs, _ = _check_sequences(params, sequences)
-    labels = np.asarray(labels)
     n = xs.shape[0]
+    labels = _check_labels(labels, n)
     if n == 0:
         raise DomainError("training set is empty")
     params = apply_mask(params.copy(), mask)

@@ -5,7 +5,11 @@ Householder reflections so it shares no code path with the library it
 checks.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from expanderprune.nets import apply_mask, clip_gradients, softmax_cross_entropy
 
 
 def householder_qr(A):
@@ -87,3 +91,125 @@ def central_difference_grads(loss_fn, arrays, eps=1e-5):
             gflat[idx] = (f_plus - f_minus) / (2.0 * eps)
         grads.append(g)
     return grads
+
+
+# The recurrent passes and the Adam step as they were written before the
+# lean passes of nets: one sigmoid per gate, a batch-major (n, k, H) state
+# stack, the BPTT cache built on every forward pass.  The library must
+# reproduce them bit for bit, so they stay here verbatim as the reference.
+# They reuse the library's loss, masking and clipping, which they do not
+# check.
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_forward(params, mask, xs):
+    """Logits, hidden states (n, k, H) and the per-step LSTM caches."""
+    n, k, _ = xs.shape
+    H = params.hidden_size
+    w_xh = params.w_xh * mask.w_xh
+    w_hh = params.w_hh * mask.w_hh
+    h = np.zeros((n, H))
+    hs = np.zeros((n, k, H))
+    cache = []
+    if params.cell_kind == "rnn":
+        for t in range(k):
+            h = np.tanh(xs[:, t] @ w_xh.T + h @ w_hh.T + params.b_h)
+            hs[:, t] = h
+        cache = None
+    else:
+        c = np.zeros((n, H))
+        for t in range(k):
+            z = xs[:, t] @ w_xh.T + h @ w_hh.T + params.b_h
+            i = _sigmoid(z[:, :H])
+            f = _sigmoid(z[:, H:2 * H])
+            g = np.tanh(z[:, 2 * H:3 * H])
+            o = _sigmoid(z[:, 3 * H:])
+            c_prev = c
+            c = f * c_prev + i * g
+            tanh_c = np.tanh(c)
+            h = o * tanh_c
+            hs[:, t] = h
+            cache.append((i, f, g, o, c_prev, tanh_c))
+    logits = hs[:, -1] @ params.w_hy.T + params.b_y
+    return logits, hs, cache
+
+
+def reference_loss_and_grads(params, mask, xs, labels):
+    """Mean cross-entropy and BPTT gradients as a dict of the five tensors."""
+    logits, hs, cache = reference_forward(params, mask, xs)
+    w_hh = params.w_hh * mask.w_hh
+    loss, dlogits = softmax_cross_entropy(logits, labels)
+
+    n, k, _ = xs.shape
+    H = params.hidden_size
+    g_w_hy = dlogits.T @ hs[:, -1]
+    g_b_y = dlogits.sum(axis=0)
+    g_w_xh = np.zeros_like(params.w_xh)
+    g_w_hh = np.zeros_like(params.w_hh)
+    g_b_h = np.zeros_like(params.b_h)
+    dh = dlogits @ params.w_hy
+
+    if params.cell_kind == "rnn":
+        for t in range(k - 1, -1, -1):
+            h_prev = hs[:, t - 1] if t > 0 else np.zeros((n, H))
+            dpre = dh * (1.0 - hs[:, t] ** 2)
+            g_w_xh += dpre.T @ xs[:, t]
+            g_w_hh += dpre.T @ h_prev
+            g_b_h += dpre.sum(axis=0)
+            dh = dpre @ w_hh
+    else:
+        dc = np.zeros((n, H))
+        for t in range(k - 1, -1, -1):
+            h_prev = hs[:, t - 1] if t > 0 else np.zeros((n, H))
+            i, f, g, o, c_prev, tanh_c = cache[t]
+            do = dh * tanh_c
+            dc = dc + dh * o * (1.0 - tanh_c ** 2)
+            dz = np.concatenate(
+                [
+                    dc * g * i * (1.0 - i),
+                    dc * c_prev * f * (1.0 - f),
+                    dc * i * (1.0 - g ** 2),
+                    do * o * (1.0 - o),
+                ],
+                axis=1,
+            )
+            g_w_xh += dz.T @ xs[:, t]
+            g_w_hh += dz.T @ h_prev
+            g_b_h += dz.sum(axis=0)
+            dh = dz @ w_hh
+            dc = dc * f
+
+    g_w_xh *= mask.w_xh
+    g_w_hh *= mask.w_hh
+    return loss, {"w_xh": g_w_xh, "w_hh": g_w_hh, "w_hy": g_w_hy, "b_h": g_b_h, "b_y": g_b_y}
+
+
+def reference_train(params, mask, xs, labels, config, epochs, stream):
+    """nets.train's epoch loop over the reference gradients and Adam step."""
+    n = xs.shape[0]
+    params = apply_mask(params.copy(), mask)
+    m = {name: np.zeros_like(a) for name, a in params.tensors().items()}
+    v = {name: np.zeros_like(a) for name, a in params.tensors().items()}
+    b1, b2 = config.beta1, config.beta2
+    step = 0
+    for epoch in range(epochs):
+        order = np.random.default_rng((config.seed, *stream, epoch)).permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            _, grads = reference_loss_and_grads(params, mask, xs[batch], labels[batch])
+            grads = clip_gradients(replace(params, **grads), config.clip_norm).tensors()
+            step += 1
+            corr1 = 1.0 - b1 ** step
+            corr2 = 1.0 - b2 ** step
+            new = {}
+            for name, value in params.tensors().items():
+                g = grads[name]
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                m_hat = m[name] / corr1
+                v_hat = v[name] / corr2
+                new[name] = value - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            params = replace(params, **new)
+    return apply_mask(params, mask)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from expanderprune.nets import (
     softmax_cross_entropy,
     train,
 )
-from oracles import central_difference_grads
+from oracles import (
+    central_difference_grads,
+    reference_forward,
+    reference_loss_and_grads,
+    reference_train,
+)
 
 
 def test_init_respects_kaiming_bounds():
@@ -261,3 +267,81 @@ def test_clip_gradients_scales_to_max_norm():
     untouched = clip_gradients(grads, total * 2)
     for key in grads.tensors():
         assert np.array_equal(untouched.tensors()[key], grads.tensors()[key])
+
+
+def _random_case(cell, k, batch, width, seed, hidden=8, classes=3):
+    rng = np.random.default_rng(seed)
+    p = init_params(width, hidden, classes, cell, seed=seed)
+    mask = PruneMask(rng.random(p.w_xh.shape) < 0.6, rng.random(p.w_hh.shape) < 0.6)
+    xs = rng.standard_normal((batch, k, width))
+    ys = rng.integers(0, classes, batch)
+    return apply_mask(p, mask), mask, xs, ys
+
+
+@pytest.mark.parametrize("cell", [RNN, LSTM])
+@pytest.mark.parametrize("k", [1, 3, 16])
+@pytest.mark.parametrize("batch", [1, 25, 100])
+@pytest.mark.parametrize("width", [1, 4])
+def test_lean_passes_equal_reference_bits(cell, k, batch, width):
+    p, mask, xs, ys = _random_case(cell, k, batch, width, seed=100 * k + batch + width)
+    loss, grads = loss_and_grads(p, mask, xs, ys)
+    want_loss, want_grads = reference_loss_and_grads(p, mask, xs, ys)
+    assert loss == want_loss
+    for name, want in want_grads.items():
+        assert np.array_equal(grads.tensors()[name], want), name
+    logits, hs = forward(p, mask, xs)
+    want_logits, want_hs, _ = reference_forward(p, mask, xs)
+    assert np.array_equal(logits, want_logits)
+    assert np.array_equal(hs, want_hs)
+
+
+@pytest.mark.parametrize("cell", [RNN, LSTM])
+def test_train_equals_reference_bits(cell):
+    # 60 rows in batches of 25 leave a last batch of 10
+    p, mask, xs, ys = _random_case(cell, 5, 60, 4, seed=21)
+    cfg = TrainConfig(seed=21, batch_size=25, learning_rate=0.01)
+    got = train(p, mask, xs, ys, cfg, epochs=2, stream=(1, 2))
+    want = reference_train(p, mask, xs, ys, cfg, epochs=2, stream=(1, 2))
+    for name in got.tensors():
+        assert np.array_equal(got.tensors()[name], want.tensors()[name]), name
+
+
+@pytest.mark.parametrize("cell", [RNN, LSTM])
+def test_evaluate_over_chunks_equals_reference_accuracy(cell):
+    # 1,100 rows are three chunks of the inference pass: 512, 512 and 76
+    p, mask, xs, ys = _random_case(cell, 6, 1100, 4, seed=31)
+    logits, _, _ = reference_forward(p, mask, xs)
+    want = int(np.count_nonzero(np.argmax(logits, axis=1) == ys)) / len(ys)
+    assert evaluate(p, mask, xs, ys) == want
+
+
+def test_evaluate_keeps_only_the_running_state():
+    # the (n, k, H) state stack alone is 8 MiB here; the inference pass
+    # holds a few (n, 4H) step arrays whatever k is
+    n, k, hidden = 512, 64, 32
+    p, mask, xs, ys = _random_case(LSTM, k, n, 1, seed=41, hidden=hidden)
+    tracemalloc.start()
+    try:
+        evaluate(p, mask, xs, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * hidden * 8 / 2
+
+
+@pytest.mark.parametrize("labels", [np.zeros((10, 1), dtype=int), np.zeros(1, dtype=int),
+                                    np.zeros(7, dtype=int)],
+                         ids=["column", "length-1", "length-7"])
+def test_evaluate_rejects_labels_not_shaped_like_the_rows(labels):
+    p = init_params(2, 3, 2, RNN, seed=1)
+    xs = np.random.default_rng(5).standard_normal((10, 4, 2))
+    with pytest.raises(ShapeError):
+        evaluate(p, PruneMask.full(p), xs, labels)
+
+
+def test_train_rejects_extra_labels():
+    p = init_params(2, 3, 2, RNN, seed=1)
+    xs = np.random.default_rng(5).standard_normal((10, 4, 2))
+    with pytest.raises(ShapeError):
+        train(p, PruneMask.full(p), xs, np.zeros(12, dtype=int), TrainConfig(), epochs=1,
+              stream=(0,))
