@@ -24,9 +24,9 @@ Every layer-graph spectrum is a dense SVD of its m x n block; the
 (m+n)^2 adjacency and Laplacian are never formed.
 normalized_laplacian_eigenvalues remains for general graphs.
 
-Exact brute-force Cheeger constants (vertex and edge) are provided for
-small graphs so every spectral bound can be validated against subset
-enumeration.
+Exact brute-force Cheeger constants of undirected graphs up to 20
+vertices, read off O(2^n) integer tables over all vertex subsets,
+validate every spectral bound.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGraphError, DomainError, ShapeError, SizeError
-from .linalg import as_dense_matrix, bipartite_spectrum, top_two_singular_values
+from .linalg import as_dense_matrix, bipartite_spectrum, check_symmetric, top_two_singular_values
 
 WEIGHTED = "weighted"
 UNWEIGHTED = "unweighted"
@@ -199,8 +199,7 @@ def normalized_laplacian_eigenvalues(adjacency: np.ndarray) -> np.ndarray:
     square root).  Requires at least 2 surviving vertices.
     """
     A = as_dense_matrix(adjacency)
-    if A.shape[0] != A.shape[1]:
-        raise ShapeError(f"adjacency is not square: shape {A.shape}")
+    check_symmetric(A)
     deg = A.sum(axis=1)
     keep = deg > 0
     if int(keep.sum()) < 2:
@@ -219,13 +218,17 @@ def bipartite_alpha2(B: np.ndarray) -> float:
     normalized adjacency D^{-1/2} A D^{-1/2} is the bipartite adjacency
     of N = D_L^{-1/2} B D_R^{-1/2}, so alpha2 is 1 minus the second entry
     of bipartite_spectrum(N): one SVD of the block, no (m+n)^2 matrix.
+    Any real dtype is read as float64; the gathered block N is the one
+    copy of B, and both divisions run in place on it.
     """
+    B = np.asarray(B, dtype=np.float64)
     row_deg, col_deg = B.sum(axis=1), B.sum(axis=0)
     rows, cols = row_deg > 0, col_deg > 0
     if int(rows.sum() + cols.sum()) < 2:
         raise DegenerateGraphError("fewer than 2 non-isolated vertices")
-    N = (B[np.ix_(rows, cols)] / np.sqrt(row_deg[rows])[:, None]
-         / np.sqrt(col_deg[cols])[None, :])
+    N = B[np.ix_(rows, cols)]
+    N /= np.sqrt(row_deg[rows])[:, None]
+    N /= np.sqrt(col_deg[cols])[None, :]
     return float(np.clip(1.0 - bipartite_spectrum(N)[1], 0.0, 2.0))
 
 
@@ -243,7 +246,7 @@ def cheeger_bounds(alpha2: float) -> tuple[float, float]:
 
 
 def _unit_adjacency(adjacency) -> np.ndarray:
-    """0/1 loop-free adjacency of a square input within the brute-force cap."""
+    """0/1 loop-free adjacency of a square, symmetric input within the brute-force cap."""
     A = as_dense_matrix(adjacency)
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"adjacency is not square: shape {A.shape}")
@@ -252,57 +255,57 @@ def _unit_adjacency(adjacency) -> np.ndarray:
         raise SizeError(f"brute force capped at {_BRUTE_FORCE_CAP} vertices, got {n}")
     adj = (A != 0).astype(np.float64)
     np.fill_diagonal(adj, 0.0)
+    if not np.array_equal(adj, adj.T):
+        raise ShapeError("adjacency support is not symmetric")
     return adj
 
 
-def _subset_scan(n: int, ratio_fn) -> float:
-    """Minimum of ratio_fn(member) over non-empty X with |X| <= n/2.
+def _subset_tables(adj: np.ndarray):
+    """(ids, size, vol, inner, reach) over the vertex subsets X, each an n-bit index.
 
-    member[s, v] = 1 if vertex v lies in subset s; ratio_fn returns one
-    ratio per subset it can score (it may drop subsets whose denominator
-    vanishes).  Subsets are enumerated in chunks so even the 20-vertex
-    cap stays within a few megabytes of working memory.
+    ids lists the X with 1 <= |X| <= n/2.  size = |X| (also the popcount
+    of any n-bit value), vol = the degree sum, inner = the edges inside X
+    and reach = the mask of X's neighbours.  The entry for X | {v}, X in
+    {0..v-1}, comes from the entry for X; inner counts each edge at its
+    later endpoint, which needs a symmetric adjacency.
     """
-    shifts = np.arange(n, dtype=np.uint32)[None, :]
-    best = math.inf
-    chunk = 1 << 16
-    for start in range(1, 1 << n, chunk):
-        subsets = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-        member = ((subsets[:, None] >> shifts) & 1).astype(np.float64)
-        member = member[member.sum(axis=1) <= n // 2]
-        if not member.size:
-            continue
-        ratios = ratio_fn(member)
-        if ratios.size:
-            best = min(best, float(ratios.min()))
-    return best
+    n = adj.shape[0]
+    nbr = (adj.astype(np.int64) << np.arange(n)).sum(axis=1)
+    deg = adj.sum(axis=1)
+    size = np.zeros(1 << n, dtype=np.uint8)
+    vol = np.zeros(1 << n, dtype=np.uint16)
+    inner = np.zeros(1 << n, dtype=np.uint16)
+    reach = np.zeros(1 << n, dtype=np.uint32)
+    for v in range(n):
+        lo, hi = slice(0, 1 << v), slice(1 << v, 2 << v)
+        bits = int(nbr[v])
+        size[hi] = size[lo] + 1
+        vol[hi] = vol[lo] + int(deg[v])
+        inner[hi] = inner[lo] + size[np.arange(1 << v, dtype=np.uint32) & bits]
+        reach[hi] = reach[lo] | bits
+    ids = np.flatnonzero((size > 0) & (size <= n // 2))
+    return ids, size, vol, inner, reach
 
 
-def _edge_boundary(adj: np.ndarray, member: np.ndarray) -> np.ndarray:
-    # edges from X to its complement: sum over v in X of neighbors outside X
-    return ((member @ adj) * (1.0 - member)).sum(axis=1)
+def _min_ratio(numerator: np.ndarray, denominator: np.ndarray) -> float:
+    """Smallest numerator/denominator as float64, or +inf when there is none."""
+    return float((numerator / denominator).min()) if numerator.size else math.inf
 
 
 def edge_cheeger_bruteforce(adjacency) -> float:
     """Exact edge Cheeger constant min |boundary edges| / |X| over |X| <= |V|/2.
 
-    Exponential subset enumeration; inputs are capped at 20 vertices.
-    Edges are counted unweighted (any nonzero entry is one edge).
+    The boundary of X is vol(X) - 2 inner(X); inputs are capped at 20
+    vertices.  Edges are counted unweighted (any nonzero entry is one edge).
     """
-    adj = _unit_adjacency(adjacency)
-    return _subset_scan(adj.shape[0],
-                        lambda member: _edge_boundary(adj, member) / member.sum(axis=1))
+    ids, size, vol, inner, _ = _subset_tables(_unit_adjacency(adjacency))
+    return _min_ratio(vol[ids] - 2 * inner[ids], size[ids])
 
 
 def vertex_cheeger_bruteforce(adjacency) -> float:
     """Exact vertex Cheeger constant min |outer vertex boundary| / |X|."""
-    adj = _unit_adjacency(adjacency)
-
-    def vertex_ratio(member):
-        touched = (member @ adj) > 0  # vertex u has a neighbor inside X
-        return (touched & (member == 0)).sum(axis=1) / member.sum(axis=1)
-
-    return _subset_scan(adj.shape[0], vertex_ratio)
+    ids, size, _, _, reach = _subset_tables(_unit_adjacency(adjacency))
+    return _min_ratio(size[reach[ids] & ~ids], size[ids])
 
 
 def edge_conductance_bruteforce(adjacency) -> float:
@@ -315,17 +318,13 @@ def edge_conductance_bruteforce(adjacency) -> float:
     graphs; K5 is a counterexample.)
     """
     adj = _unit_adjacency(adjacency)
-    degrees = adj.sum(axis=1)
-    total_volume = float(degrees.sum())
-    if total_volume == 0.0:
+    total_volume = int(adj.sum())
+    if total_volume == 0:
         raise DegenerateGraphError("graph has no edges")
-
-    def conductance(member):
-        volumes = member @ degrees
-        denom = np.minimum(volumes, total_volume - volumes)
-        usable = denom > 0
-        return _edge_boundary(adj, member[usable]) / denom[usable]
-
+    ids, _, vol, inner, _ = _subset_tables(adj)
     # X and its complement share a boundary and the denominator takes the
     # smaller volume, so scanning |X| <= |V|/2 covers every partition.
-    return _subset_scan(adj.shape[0], conductance)
+    volume = vol[ids]
+    denom = np.minimum(volume, total_volume - volume)
+    usable = denom > 0
+    return _min_ratio((volume - 2 * inner[ids])[usable], denom[usable])

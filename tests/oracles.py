@@ -5,6 +5,8 @@ Householder reflections so it shares no code path with the library it
 checks.
 """
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +93,34 @@ def central_difference_grads(loss_fn, arrays, eps=1e-5):
             gflat[idx] = (f_plus - f_minus) / (2.0 * eps)
         grads.append(g)
     return grads
+
+
+def reference_cheeger_constants(adj):
+    """(edge Cheeger, vertex Cheeger, conductance) by scoring one subset at a time.
+
+    Pure Python over itertools.combinations, sharing no code with the
+    library's subset tables: every X with 1 <= |X| <= n/2 gets its
+    boundary edges, outer boundary vertices and volume counted from
+    neighbour sets, and each ratio is one int / int division.  Nonzero
+    off-diagonal entries are edges.  The conductance is None for an
+    edgeless graph, which has no volume to normalize by.
+    """
+    n = len(adj)
+    nbrs = [{u for u in range(n) if u != v and adj[v][u] != 0} for v in range(n)]
+    degrees = [len(s) for s in nbrs]
+    total = sum(degrees)
+    h_edge = h_vertex = conductance = math.inf
+    for k in range(1, n // 2 + 1):
+        for subset in itertools.combinations(range(n), k):
+            inside = set(subset)
+            cut = sum(1 for v in subset for u in nbrs[v] if u not in inside)
+            outer = len(set().union(*(nbrs[v] for v in subset)) - inside)
+            volume = sum(degrees[v] for v in subset)
+            h_edge = min(h_edge, cut / k)
+            h_vertex = min(h_vertex, outer / k)
+            if min(volume, total - volume) > 0:
+                conductance = min(conductance, cut / min(volume, total - volume))
+    return h_edge, h_vertex, conductance if total else None
 
 
 # The recurrent passes and the Adam step as they were written before the

@@ -5,6 +5,9 @@ traced benchmark run (``benchmarks/run.py --trace 1``) fails."""
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+from expanderprune import graphs
 from expanderprune.data import synth_task
 from expanderprune.nets import TrainConfig
 from expanderprune.pruning import PruneSchedule, run_imp
@@ -42,3 +45,22 @@ def test_traced_run_counts_every_round_and_checkpoint_byte(monkeypatch, tmp_path
     assert table["formats.save_checkpoint"]["count"] == sum(
         p.stat().st_size for p in tmp_path.glob("round_*.ckpt"))
     assert table["pruning.layer_reports"]["calls"] == rounds
+
+
+def test_bruteforce_spans_are_flat_and_count_every_subset(monkeypatch):
+    # graphs.bruteforce.subsets is 3 * sum(2^n) over the audit's graphs only
+    # while each of the three functions records one span and calls no other.
+    tracing = _tracing(monkeypatch)
+    n = 9
+    upper = np.triu(np.random.default_rng(5).random((n, n)) < 0.4, 1)
+    adj = (upper | upper.T).astype(np.float64)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        graphs.edge_conductance_bruteforce(adj)
+        graphs.vertex_cheeger_bruteforce(adj)
+        graphs.edge_cheeger_bruteforce(adj)
+    spans = [span for span in tracer.spans if span[0] == "graphs.bruteforce"]
+    assert len(spans) == 3
+    assert [span[3] for span in spans] == [-1, -1, -1]  # none nested
+    assert [span[4] for span in spans] == [2 ** n] * 3
+    assert tracing.summarize(tracer)["graphs.bruteforce"]["count"] == 3 * 2 ** n

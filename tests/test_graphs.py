@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from expanderprune.graphs import (
     spectral_gaps,
     vertex_cheeger_bruteforce,
 )
-from expanderprune.linalg import bipartite_adjacency
+from expanderprune.linalg import bipartite_adjacency, bipartite_spectrum
 from graphgen import random_connected_graph
+from oracles import reference_cheeger_constants
 
 
 def cycle_adjacency(n):
@@ -246,6 +248,126 @@ def test_conductance_trivials():
     assert edge_conductance_bruteforce(k2) == 1.0
     # C8: cutting an arc of 4 leaves 2 boundary edges over volume 8
     assert edge_conductance_bruteforce(cycle_adjacency(8)) == 0.25
+
+
+def path_adjacency(n):
+    adj = np.zeros((n, n))
+    for i in range(n - 1):
+        adj[i, i + 1] = adj[i + 1, i] = 1.0
+    return adj
+
+
+def disjoint_union(*parts):
+    n = sum(part.shape[0] for part in parts)
+    adj = np.zeros((n, n))
+    at = 0
+    for part in parts:
+        k = part.shape[0]
+        adj[at:at + k, at:at + k] = part
+        at += k
+    return adj
+
+
+def bruteforce_corpus():
+    """62 symmetric graphs of 1..12 vertices, edgeless and disconnected ones included."""
+    complete = [np.ones((n, n)) - np.eye(n) for n in range(1, 13)]  # K_1 is edgeless
+    graphs = list(complete)
+    graphs += [cycle_adjacency(n) for n in range(3, 13)]
+    graphs += [path_adjacency(n) for n in range(2, 13)]
+    graphs += [np.zeros((n, n)) for n in range(1, 13)]
+    graphs += [
+        disjoint_union(complete[2], complete[2]),
+        disjoint_union(complete[3], cycle_adjacency(5)),
+        disjoint_union(cycle_adjacency(4), cycle_adjacency(4), path_adjacency(3)),
+        disjoint_union(*[complete[1]] * 5),
+        disjoint_union(complete[5], path_adjacency(6)),
+    ]
+    graphs += [  # isolated vertices beside the edges
+        disjoint_union(complete[4], np.zeros((3, 3))),
+        disjoint_union(cycle_adjacency(6), np.zeros((1, 1))),
+        disjoint_union(np.zeros((2, 2)), path_adjacency(4), np.zeros((2, 2))),
+        disjoint_union(complete[1], np.zeros((10, 10))),
+    ]
+    rng = np.random.default_rng(23)
+    for n in (4, 6, 8, 9, 10, 11, 12):
+        upper = np.triu(rng.random((n, n)) < 0.35, 1)
+        graphs.append((upper | upper.T).astype(np.float64))
+    weights = rng.random((9, 9))
+    graphs.append(weights + weights.T)  # K_9 with weights and self-loops
+    return graphs
+
+
+def test_bruteforce_constants_equal_per_subset_reference():
+    for adj in bruteforce_corpus():
+        h_edge, h_vertex, conductance = reference_cheeger_constants(adj)
+        assert edge_cheeger_bruteforce(adj) == h_edge
+        assert vertex_cheeger_bruteforce(adj) == h_vertex
+        if conductance is None:
+            with pytest.raises(DegenerateGraphError):
+                edge_conductance_bruteforce(adj)
+        else:
+            assert edge_conductance_bruteforce(adj) == conductance
+
+
+def test_asymmetric_adjacency_is_rejected():
+    directed = np.zeros((3, 3))
+    directed[0, 1] = directed[1, 2] = 1.0  # arcs 0 -> 1 -> 2
+    for fn in (edge_cheeger_bruteforce, vertex_cheeger_bruteforce,
+               edge_conductance_bruteforce, normalized_laplacian_eigenvalues):
+        with pytest.raises(ShapeError):
+            fn(directed)
+    # the brute force reads the 0/1 support, the Laplacian the weights
+    reweighted = cycle_adjacency(5)
+    reweighted[0, 1] = 3.0
+    assert edge_cheeger_bruteforce(reweighted) == edge_cheeger_bruteforce(cycle_adjacency(5))
+    with pytest.raises(ShapeError):
+        normalized_laplacian_eigenvalues(reweighted)
+
+
+def two_temporary_alpha2(B):
+    """bipartite_alpha2 with a fresh array per division, as it was first written."""
+    row_deg, col_deg = B.sum(axis=1), B.sum(axis=0)
+    rows, cols = row_deg > 0, col_deg > 0
+    N = (B[np.ix_(rows, cols)] / np.sqrt(row_deg[rows])[:, None]
+         / np.sqrt(col_deg[cols])[None, :])
+    return float(np.clip(1.0 - bipartite_spectrum(N)[1], 0.0, 2.0))
+
+
+def test_alpha2_in_place_divisions_keep_the_bits():
+    rng = np.random.default_rng(43)
+    for trial in range(40):
+        m, n = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        B = rng.random((m, n)) + 0.01
+        if trial % 2:
+            B *= rng.random((m, n)) < 0.5
+            B[rng.random(m) < 0.2] = 0.0  # isolated rows
+            B[:, rng.random(n) < 0.2] = 0.0  # isolated columns
+            if int((B.sum(axis=1) > 0).sum() + (B.sum(axis=0) > 0).sum()) < 2:
+                continue
+        before = B.copy()
+        assert bipartite_alpha2(B) == two_temporary_alpha2(B)
+        assert np.array_equal(B, before)  # the caller's block is left alone
+
+
+def test_alpha2_reads_any_real_dtype_as_float64():
+    rng = np.random.default_rng(45)
+    B = (rng.random((12, 9)) < 0.5).astype(np.int64) * rng.integers(1, 4, (12, 9))
+    B[3] = 0  # an isolated row
+    assert bipartite_alpha2(B) == bipartite_alpha2(B.astype(np.float64))
+    assert bipartite_alpha2(B) == two_temporary_alpha2(B)
+    W = rng.random((12, 9)).astype(np.float32)
+    assert bipartite_alpha2(W) == bipartite_alpha2(W.astype(np.float64))
+
+
+def test_alpha2_holds_one_copy_of_the_block():
+    B = np.random.default_rng(44).random((2048, 512))
+    tracemalloc.start()
+    try:
+        bipartite_alpha2(B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * B.nbytes
 
 
 def test_cheeger_buser_sandwich_small_corpus():
