@@ -15,6 +15,7 @@ import errno
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -75,12 +76,8 @@ def _print_json(obj) -> None:
 
 
 def _layer_graph_reports(weights, mask, modes, label):
-    out = []
-    for mode in modes:
-        report = spectral_gaps(build_bipartite(weights, mask, mode))
-        entry = {"layer": label, **report.as_dict()}
-        out.append(entry)
-    return out
+    return [{"layer": label, **asdict(spectral_gaps(build_bipartite(weights, mask, mode)))}
+            for mode in modes]
 
 
 def cmd_analyze(args) -> int:
@@ -194,10 +191,7 @@ def cmd_unroll(args) -> int:
         "k": args.k,
         "dimension": spec.dim,
         "spectrum": [float(v) for v in spectrum],
-        "reports": [
-            {"mode": mode, **unrolled_gap_report(spec, mode).as_dict()}
-            for mode in _MODE_FLAGS[args.mode]
-        ],
+        "reports": [asdict(unrolled_gap_report(spec, mode)) for mode in _MODE_FLAGS[args.mode]],
     }
     if args.closed_form:
         if np.max(np.abs(B - B.T)) > 1e-12:
@@ -215,8 +209,7 @@ def cmd_report(args) -> int:
     if not trajectory.records:
         raise DomainError(f"{path}: trajectory is empty")
     out_svg = _resolve_out(args.out) if args.out else os.path.splitext(path)[0] + ".svg"
-    out_csv = os.path.splitext(out_svg)[0] + ".csv"
-    render_trajectory(trajectory, out_svg, out_csv)
+    out_csv = render_trajectory(trajectory, out_svg)
     _print_json({"svg": out_svg, "csv": out_csv, "records": len(trajectory.records)})
     return 0
 

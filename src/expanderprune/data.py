@@ -3,7 +3,9 @@
 Sources: IDX image/label pairs turned into scanline sequences (one image
 row per time step), synthetic desk-scale tasks, and a generic CSV
 layout.  Datasets are immutable after construction; every generator is
-deterministic for a fixed seed.
+deterministic for a fixed seed.  IDX files are read through
+formats.read_exact, so a truncated file fails with FormatError at the
+byte offset where it ends.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError, ShapeError
+from .formats import read_exact
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -83,13 +86,15 @@ class NoiseSpec:
             raise DomainError(f"apply_to {self.apply_to!r} not in {NOISE_TARGETS}")
 
 
-def _read_exact(f, count, path, what):
-    data = f.read(count)
-    if len(data) != count:
-        raise FormatError(
-            f"{path}: truncated while reading {what} at byte offset {f.tell() - len(data)}"
-        )
-    return data
+def _read_idx(path, magic, ndim) -> np.ndarray:
+    """The uint8 array of one big-endian IDX file with ``ndim`` dimensions."""
+    with open(path, "rb") as f:
+        (found,) = struct.unpack(">I", read_exact(f, 4, path, "magic"))
+        if found != magic:
+            raise FormatError(f"{path}: bad magic 0x{found:08x} at byte offset 0, expected 0x{magic:08x}")
+        shape = struct.unpack(f">{ndim}I", read_exact(f, 4 * ndim, path, "dimensions"))
+        data = read_exact(f, math.prod(shape), path, "data")
+    return np.frombuffer(data, dtype=np.uint8).reshape(shape)
 
 
 def load_idx_images(images_path, labels_path) -> SequenceDataset:
@@ -99,29 +104,11 @@ def load_idx_images(images_path, labels_path) -> SequenceDataset:
     Magic numbers and lengths are validated; errors carry the byte
     offset of the problem.
     """
-    with open(images_path, "rb") as f:
-        magic = struct.unpack(">I", _read_exact(f, 4, images_path, "magic"))[0]
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad magic 0x{magic:08x} at byte offset 0, expected 0x{IDX_IMAGES_MAGIC:08x}"
-            )
-        count, rows, cols = struct.unpack(">III", _read_exact(f, 12, images_path, "dimensions"))
-        pixels = np.frombuffer(
-            _read_exact(f, count * rows * cols, images_path, "pixel data"), dtype=np.uint8
-        )
-    with open(labels_path, "rb") as f:
-        magic = struct.unpack(">I", _read_exact(f, 4, labels_path, "magic"))[0]
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad magic 0x{magic:08x} at byte offset 0, expected 0x{IDX_LABELS_MAGIC:08x}"
-            )
-        (label_count,) = struct.unpack(">I", _read_exact(f, 4, labels_path, "count"))
-        labels = np.frombuffer(_read_exact(f, label_count, labels_path, "labels"), dtype=np.uint8)
-    if label_count != count:
-        raise FormatError(
-            f"{labels_path}: {label_count} labels for {count} images"
-        )
-    sequences = pixels.reshape(count, rows, cols).astype(np.float64) / 255.0
+    pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
+    if len(labels) != len(pixels):
+        raise FormatError(f"{labels_path}: {len(labels)} labels for {len(pixels)} images")
+    sequences = pixels.astype(np.float64) / 255.0
     class_count = int(labels.max()) + 1 if labels.size else 1
     return SequenceDataset(sequences, labels.astype(np.int64), class_count)
 

@@ -12,6 +12,9 @@ RPRM checkpoint (binary, little-endian)
     two masks (W_xh, W_hh), each ``rows u32 | cols u32`` followed by the
     row-major boolean grid packed 8 bits per byte, LSB first.
 
+Every binary read goes through ``read_exact``, so a file that ends early
+fails with FormatError naming the field and its byte offset.
+
 Trajectory files are JSON lines, one record per line; non-finite floats
 are serialized as the strings "inf", "-inf", "nan".
 """
@@ -68,14 +71,18 @@ def _write_matrix(f, M: np.ndarray) -> None:
     f.write(M.tobytes())
 
 
+def read_exact(f, count, path, what) -> bytes:
+    """The next ``count`` bytes of ``f``; FormatError naming ``what`` and
+    the byte offset where it starts when the file ends first."""
+    data = f.read(count)
+    if len(data) != count:
+        raise FormatError(f"{path}: truncated {what} at byte offset {f.tell() - len(data)}")
+    return data
+
+
 def _read_matrix(f, path) -> np.ndarray:
-    head = f.read(8)
-    if len(head) != 8:
-        raise FormatError(f"{path}: truncated matrix header at byte offset {f.tell() - len(head)}")
-    rows, cols = struct.unpack("<II", head)
-    data = f.read(rows * cols * 8)
-    if len(data) != rows * cols * 8:
-        raise FormatError(f"{path}: truncated matrix data at byte offset {f.tell() - len(data)}")
+    rows, cols = struct.unpack("<II", read_exact(f, 8, path, "matrix header"))
+    data = read_exact(f, rows * cols * 8, path, "matrix data")
     return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
 
 
@@ -86,14 +93,8 @@ def _write_mask(f, mask: np.ndarray) -> None:
 
 
 def _read_mask(f, path) -> np.ndarray:
-    head = f.read(8)
-    if len(head) != 8:
-        raise FormatError(f"{path}: truncated mask header at byte offset {f.tell() - len(head)}")
-    rows, cols = struct.unpack("<II", head)
-    n_bytes = (rows * cols + 7) // 8
-    data = f.read(n_bytes)
-    if len(data) != n_bytes:
-        raise FormatError(f"{path}: truncated mask data at byte offset {f.tell() - len(data)}")
+    rows, cols = struct.unpack("<II", read_exact(f, 8, path, "mask header"))
+    data = read_exact(f, (rows * cols + 7) // 8, path, "mask data")
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     return bits[: rows * cols].astype(bool).reshape(rows, cols)
 
@@ -114,18 +115,12 @@ def load_checkpoint(path) -> tuple[RecurrentParams, PruneMask]:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
-        head = f.read(5)
-        if len(head) != 5:
-            raise FormatError(f"{path}: truncated header at byte offset 4")
-        version, cell_code = struct.unpack("<IB", head)
+        version, cell_code = struct.unpack("<IB", read_exact(f, 5, path, "header"))
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         if cell_code not in _CELL_NAMES:
             raise FormatError(f"{path}: unknown cell kind code {cell_code}")
-        sizes = f.read(12)
-        if len(sizes) != 12:
-            raise FormatError(f"{path}: truncated sizes at byte offset 9")
-        input_size, hidden_size, class_count = struct.unpack("<III", sizes)
+        input_size, hidden_size, class_count = struct.unpack("<III", read_exact(f, 12, path, "sizes"))
         cell_kind = _CELL_NAMES[cell_code]
         w_xh = _read_matrix(f, path)
         w_hh = _read_matrix(f, path)

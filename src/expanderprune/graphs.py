@@ -86,20 +86,6 @@ class SpectralReport:
     cheeger_upper: float
     ramanujan: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "d_avg": self.d_avg,
-            "alpha2": self.alpha2,
-            "delta_r": self.delta_r,
-            "delta_s": self.delta_s,
-            "cheeger_lower": self.cheeger_lower,
-            "cheeger_upper": self.cheeger_upper,
-            "ramanujan": self.ramanujan,
-        }
-
 
 def build_bipartite(W, mask=None, mode: str = WEIGHTED) -> BipartiteGraph:
     """Layer graph of a weight matrix under a prune mask.

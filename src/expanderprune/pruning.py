@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import NoiseSpec, SequenceDataset, add_noise, train_test_split
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .formats import (
     dump_json_line,
     load_checkpoint,
@@ -85,31 +85,13 @@ class PruneRecord:
         return _gap(self.reports, layer, kind)
 
     def as_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "q": dict(self.q),
-            "test_accuracy": self.test_accuracy,
-            "reports": {
-                layer: {mode: rep.as_dict() for mode, rep in by_mode.items()}
-                for layer, by_mode in self.reports.items()
-            },
-            "zero_crossed": {layer: dict(v) for layer, v in self.zero_crossed.items()},
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PruneRecord":
-        reports = {
-            layer: {mode: SpectralReport(mode=mode, **{k: v for k, v in rep.items() if k != "mode"})
-                    for mode, rep in by_mode.items()}
-            for layer, by_mode in d["reports"].items()
-        }
-        return cls(
-            round=d["round"],
-            q=d["q"],
-            test_accuracy=d["test_accuracy"],
-            reports=reports,
-            zero_crossed=d["zero_crossed"],
-        )
+        reports = {layer: {mode: SpectralReport(**rep) for mode, rep in by_mode.items()}
+                   for layer, by_mode in d["reports"].items()}
+        return cls(**{**d, "reports": reports})
 
 
 @dataclass
@@ -230,16 +212,28 @@ def stop_criterion(trajectory: PruneTrajectory, policy) -> bool:
     return False
 
 
+def _record_line(record: PruneRecord) -> str:
+    """A record as one canonical JSON line (byte-deterministic)."""
+    return dump_json_line(record.as_dict()) + "\n"
+
+
+def _parse_record(line: bytes, path, line_no: int) -> PruneRecord:
+    """Inverse of _record_line; FormatError for a line that is not a record."""
+    try:
+        return PruneRecord.from_dict(parse_json_line(line.decode(), path, line_no))
+    except (AttributeError, KeyError, TypeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: line {line_no}: not a trajectory record: {exc}") from None
+
+
 def save_trajectory(trajectory: PruneTrajectory, path) -> None:
-    """One canonical JSON line per record (byte-deterministic)."""
+    """One _record_line per record."""
     with open(path, "w", newline="") as f:
-        for record in trajectory.records:
-            f.write(dump_json_line(record.as_dict()) + "\n")
+        f.writelines(map(_record_line, trajectory.records))
 
 
 def load_trajectory(path) -> PruneTrajectory:
-    with open(path) as f:
-        return PruneTrajectory(records=[PruneRecord.from_dict(parse_json_line(line, path, line_no))
+    with open(path, "rb") as f:
+        return PruneTrajectory(records=[_parse_record(line, path, line_no)
                                         for line_no, line in enumerate(f, start=1) if line.strip()])
 
 
@@ -290,7 +284,7 @@ class RunDirectory:
                 for line_no, line in enumerate(f, start=1):
                     if not line.endswith(b"\n"):
                         break
-                    record = PruneRecord.from_dict(parse_json_line(line.decode(), self._trajectory_path, line_no))
+                    record = _parse_record(line, self._trajectory_path, line_no)
                     if record.round != len(records) or not os.path.exists(self._checkpoint(record.round)):
                         break
                     records.append(record)
@@ -305,16 +299,16 @@ class RunDirectory:
         """Persist one round: its checkpoint, then the line that commits it."""
         save_checkpoint(self._checkpoint(record.round), params, mask)
         with open(self._trajectory_path, "a", newline="") as f:
-            f.write(dump_json_line(record.as_dict()) + "\n")
+            f.write(_record_line(record))
 
 
 def split_dataset(dataset: SequenceDataset, seed: int,
                   noise: NoiseSpec | None = None) -> tuple[SequenceDataset, SequenceDataset]:
     """The seeded train/test split (TEST_FRACTION held out), then ``noise``
     applied to the split or splits its ``apply_to`` names."""
-    if dataset.n < 2:
-        raise DomainError("dataset too small to split")
     train_ds, test_ds = train_test_split(dataset, TEST_FRACTION, seed=seed)
+    if train_ds.n == 0 or test_ds.n == 0:
+        raise DomainError(f"dataset of {dataset.n} samples leaves an empty train or test split")
     if noise is not None:
         if noise.apply_to in ("both", "train"):
             train_ds = add_noise(train_ds, noise)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 
 from .errors import DomainError
 from .pruning import GAP_KINDS, LAYERS, PruneTrajectory, first_zero_crossing
@@ -81,12 +82,12 @@ def trajectory_table(trajectory: PruneTrajectory) -> tuple[list[str], list[list]
     return header, rows
 
 
-def render_trajectory(trajectory: PruneTrajectory, svg_path, csv_path=None) -> None:
-    """Write the dual-axis SVG figure and its CSV table."""
+def render_trajectory(trajectory: PruneTrajectory, svg_path) -> str:
+    """Write the dual-axis SVG figure and its CSV table beside it (the
+    SVG path with its extension replaced by .csv); returns the CSV path."""
     if not trajectory.records:
         raise DomainError("trajectory is empty")
-    if csv_path is None:
-        csv_path = str(svg_path).rsplit(".", 1)[0] + ".csv"
+    csv_path = os.path.splitext(svg_path)[0] + ".csv"
 
     header, rows = trajectory_table(trajectory)
     with open(csv_path, "w", newline="") as f:
@@ -106,6 +107,7 @@ def render_trajectory(trajectory: PruneTrajectory, svg_path, csv_path=None) -> N
     parts.append("</svg>\n")
     with open(svg_path, "w") as f:
         f.write("".join(parts))
+    return csv_path
 
 
 def _render_panel(trajectory: PruneTrajectory, layer: str, top: float) -> str:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from expanderprune.cli import main
-from expanderprune.formats import save_checkpoint, save_matrix_text
+from expanderprune.formats import dump_json_line, save_checkpoint, save_matrix_text
 from expanderprune.nets import LSTM, PruneMask, init_params
 from expanderprune.pruning import load_trajectory
 from expanderprune.svgplot import render_trajectory
@@ -287,6 +287,33 @@ def test_report_empty_trajectory_fails(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", str(path))
     assert code == 2
     assert err.startswith("error: EDOMAIN:")
+
+
+def _record_with_extra_report_key():
+    record = fake_record(0, {}).as_dict()
+    record["reports"]["w_xh"]["weighted"]["extra"] = 1.0
+    return dump_json_line(record).encode()
+
+
+@pytest.mark.parametrize("line", [b"{}", b"[]", b"1", b"\xff", _record_with_extra_report_key()],
+                         ids=["object", "list", "number", "not-utf8", "extra-report-key"])
+def test_report_refuses_a_line_that_is_not_a_record(tmp_path, capsys, line):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(line + b"\n")
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: EFORMAT: {path}: line 1: ")
+    assert err.count("\n") == 1
+
+
+def test_csv_lands_beside_an_svg_path_without_extension(tmp_path):
+    traj = trajectory_from_gaps("weighted_delta_s", [0.4, -0.2])
+    (tmp_path / "v1.2").mkdir()
+    csv_path = render_trajectory(traj, str(tmp_path / "v1.2" / "fig"))
+    assert csv_path == str(tmp_path / "v1.2" / "fig.csv")
+    assert os.path.exists(csv_path)
+    assert sorted(os.listdir(tmp_path)) == ["v1.2"]
 
 
 def test_svg_marks_one_rule_per_crossed_gap(tmp_path):

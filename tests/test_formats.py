@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from expanderprune.formats import (
     save_checkpoint,
     save_matrix_text,
 )
-from expanderprune.nets import LSTM, PruneMask, RNN, init_params
+from expanderprune.nets import LSTM, PruneMask, RecurrentParams, RNN, init_params
 
 
 def test_matrix_text_round_trip(tmp_path):
@@ -64,6 +65,26 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     save_checkpoint(tmp_path / "a.ckpt", params, mask)
     save_checkpoint(tmp_path / "b.ckpt", params, mask)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    params = RecurrentParams(
+        cell_kind=RNN, input_size=2, hidden_size=3, class_count=2,
+        w_xh=np.arange(6.0).reshape(3, 2), w_hh=np.arange(9.0).reshape(3, 3) - 4.5,
+        w_hy=np.arange(6.0).reshape(2, 3) / 8, b_h=np.arange(3.0), b_y=-np.arange(2.0),
+    )
+    mask = PruneMask(np.arange(6).reshape(3, 2) % 2 == 0, np.arange(9).reshape(3, 3) % 3 != 0)
+    path = tmp_path / "pinned.ckpt"
+    save_checkpoint(path, params, mask)
+    data = path.read_bytes()
+    assert len(data) == 288
+    assert hashlib.sha256(data).hexdigest() == (
+        "4f5093d31a341ceedaff20529d3f75adc5d0523c7b31a1a2e87d003cc51fb241")
+    loaded, loaded_mask = load_checkpoint(path)
+    for key, value in params.tensors().items():
+        assert np.array_equal(loaded.tensors()[key], value)
+    assert np.array_equal(loaded_mask.w_xh, mask.w_xh)
+    assert np.array_equal(loaded_mask.w_hh, mask.w_hh)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -1,10 +1,12 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from expanderprune.data import NoiseSpec, synth_task
-from expanderprune.errors import ConfigError, DomainError
+from expanderprune import pruning
+from expanderprune.data import NoiseSpec, SequenceDataset, synth_task
+from expanderprune.errors import ConfigError, DomainError, FormatError
 from expanderprune.graphs import SpectralReport
 from expanderprune.nets import TrainConfig
 from expanderprune.pruning import (
@@ -196,6 +198,60 @@ def test_trajectory_round_trip(tmp_path):
     assert len(loaded.records) == len(traj.records)
     for a, b in zip(loaded.records, traj.records):
         assert a.as_dict() == b.as_dict()
+
+
+PINNED_LINE = (
+    '{"q":{"w_hh":0.25,"w_xh":0.5},"reports":{"w_xh":{"unweighted":{"alpha2":0.25,'
+    '"cheeger_lower":0.125,"cheeger_upper":0.75,"d_avg":1.5,"delta_r":-1.0,"delta_s":"inf",'
+    '"lambda1":2.5,"lambda2":0.0,"mode":"unweighted","ramanujan":false},"weighted":'
+    '{"alpha2":0.25,"cheeger_lower":0.125,"cheeger_upper":0.75,"d_avg":1.5,"delta_r":null,'
+    '"delta_s":"inf","lambda1":2.5,"lambda2":0.0,"mode":"weighted","ramanujan":true}}},'
+    '"round":1,"test_accuracy":0.875,"zero_crossed":{"w_xh":{"unweighted_delta_r":true,'
+    '"weighted_delta_s":false}}}\n'
+)
+
+
+def test_trajectory_line_bytes_are_pinned(tmp_path):
+    def report(mode, delta_r, ramanujan):
+        return SpectralReport(mode=mode, lambda1=2.5, lambda2=0.0, d_avg=1.5, alpha2=0.25,
+                              delta_r=delta_r, delta_s=math.inf, cheeger_lower=0.125,
+                              cheeger_upper=0.75, ramanujan=ramanujan)
+
+    record = PruneRecord(
+        round=1,
+        q={"w_xh": 0.5, "w_hh": 0.25},
+        test_accuracy=0.875,
+        reports={"w_xh": {"unweighted": report("unweighted", -1.0, False),
+                          "weighted": report("weighted", None, True)}},
+        zero_crossed={"w_xh": {"unweighted_delta_r": True, "weighted_delta_s": False}},
+    )
+    path = tmp_path / "traj.jsonl"
+    save_trajectory(PruneTrajectory(records=[record]), path)
+    assert path.read_text() == PINNED_LINE
+    assert load_trajectory(path).records == [record]
+
+
+def test_run_imp_refuses_a_line_that_is_not_a_record(tmp_path):
+    tiny_run(tmp_path)
+    path = tmp_path / "trajectory.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"[]\n" + b"".join(lines[1:]))
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(FormatError, match=r"trajectory\.jsonl: line 1: "):
+        tiny_run(tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+def test_run_imp_refuses_a_dataset_with_an_empty_split(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train called")
+
+    monkeypatch.setattr(pruning, "train", no_training)
+    ds = SequenceDataset(np.zeros((2, 4, 3)), np.array([0, 1]), 2)
+    out = tmp_path / "run"
+    with pytest.raises(DomainError, match="empty train or test split"):
+        run_imp(TrainConfig(seed=3), PruneSchedule(rounds=1), ds, hidden_size=4, out_dir=str(out))
+    assert not out.exists()
 
 
 def test_run_imp_deterministic_bytes(tmp_path):
