@@ -36,7 +36,7 @@ from .pruning import (
     GAP_KINDS,
     LAYERS,
     detect_zero_crossing,
-    load_trajectory,
+    load_run_trajectory,
     run_imp,
     split_dataset,
     train_dense,
@@ -205,7 +205,7 @@ def cmd_unroll(args) -> int:
 
 def cmd_report(args) -> int:
     path = _require_file(args.path)
-    trajectory = load_trajectory(path)
+    trajectory = load_run_trajectory(path)
     if not trajectory.records:
         raise DomainError(f"{path}: trajectory is empty")
     out_svg = _resolve_out(args.out) if args.out else os.path.splitext(path)[0] + ".svg"

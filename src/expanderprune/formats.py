@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -40,8 +41,8 @@ def save_matrix_text(M: np.ndarray, path) -> None:
     M = np.asarray(M, dtype=np.float64)
     with open(path, "w") as f:
         f.write(f"matx {M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
+        for row in M.tolist():
+            f.write(" ".join(map(repr, row)) + "\n")
 
 
 def load_matrix_text(path) -> np.ndarray:
@@ -68,15 +69,20 @@ def load_matrix_text(path) -> np.ndarray:
 def _write_matrix(f, M: np.ndarray) -> None:
     M = np.ascontiguousarray(np.atleast_2d(M), dtype="<f8")
     f.write(struct.pack("<II", M.shape[0], M.shape[1]))
-    f.write(M.tobytes())
+    f.write(M.reshape(-1).view(np.uint8))  # the array's own bytes, not a copy
 
 
 def read_exact(f, count, path, what) -> bytes:
-    """The next ``count`` bytes of ``f``; FormatError naming ``what`` and
-    the byte offset where it starts when the file ends first."""
-    data = f.read(count)
+    """The next ``count`` bytes of the file ``f``; FormatError naming
+    ``what`` and the byte offset where it starts when the file ends first.
+
+    ``count`` is checked against the bytes left before anything is read,
+    so a declared size larger than the file allocates nothing.
+    """
+    start = f.tell()
+    data = f.read(count) if count <= os.fstat(f.fileno()).st_size - start else b""
     if len(data) != count:
-        raise FormatError(f"{path}: truncated {what} at byte offset {f.tell() - len(data)}")
+        raise FormatError(f"{path}: truncated {what} at byte offset {start}")
     return data
 
 

@@ -120,10 +120,14 @@ def _check_layer(layer: str) -> str:
 def magnitude_prune(W: np.ndarray, mask: np.ndarray, q: float) -> np.ndarray:
     """Keep the ceil(q * total) largest-|w| currently-unmasked entries.
 
-    Ties break toward the lexicographically smaller (row, col).  The
-    returned support is always a subset of the input support; asking for
-    at least as many entries as are currently kept returns the mask
-    unchanged.
+    The winners are the kept entries ranked by |w| descending, a NaN
+    magnitude ranking below every number, with ties broken toward the
+    lexicographically smaller (row, col).  One partition finds the cut
+    magnitude: every entry above it wins, and so do the first entries
+    equal to it in (row, col) order, so the cost is O(size), not a sort.
+    The result is a new C-ordered mask whose support is a subset of the
+    input support; asking for at least as many entries as are currently
+    kept returns the mask unchanged.
     """
     if q <= 0.0:
         raise DomainError("keep fraction q must be > 0")
@@ -132,15 +136,17 @@ def magnitude_prune(W: np.ndarray, mask: np.ndarray, q: float) -> np.ndarray:
     if mask.shape != W.shape:
         raise ShapeError(f"mask shape {mask.shape} != weight shape {W.shape}")
     target = math.ceil(q * W.size)
-    kept = int(mask.sum())
-    if target >= kept:
+    index = np.flatnonzero(mask)  # row-major, so in (row, col) order
+    if target >= index.size:
         return mask.copy()
-    rows, cols = np.nonzero(mask)
-    magnitudes = np.abs(W[rows, cols])
-    order = np.lexsort((cols, rows, -magnitudes))
-    winners = order[:target]
-    out = np.zeros_like(mask)
-    out[rows[winners], cols[winners]] = True
+    magnitudes = np.abs(W.take(index))
+    magnitudes[np.isnan(magnitudes)] = -1.0
+    cut = np.partition(magnitudes, index.size - target)[index.size - target]
+    above = magnitudes > cut
+    ties = np.flatnonzero(magnitudes == cut)[: target - int(np.count_nonzero(above))]
+    above[ties] = True
+    out = np.zeros(mask.shape, dtype=bool)
+    np.put(out, index[above], True)
     return out
 
 
@@ -225,16 +231,43 @@ def _parse_record(line: bytes, path, line_no: int) -> PruneRecord:
         raise FormatError(f"{path}: line {line_no}: not a trajectory record: {exc}") from None
 
 
+def _check_layers(record: PruneRecord, path, line_no: int) -> PruneRecord:
+    """``record`` if it holds what a run's records hold: a report for every
+    layer and mode, and a q and zero_crossed entry for every layer."""
+    missing = [f"reports.{layer}.{mode}" for layer in LAYERS for mode in MODES
+               if mode not in record.reports.get(layer, {})]
+    for name in ("q", "zero_crossed"):
+        entries = getattr(record, name)
+        missing += [f"{name}.{layer}" for layer in LAYERS
+                    if not isinstance(entries, dict) or layer not in entries]
+    if missing:
+        raise FormatError(f"{path}: line {line_no}: record lacks {', '.join(missing)}")
+    return record
+
+
 def save_trajectory(trajectory: PruneTrajectory, path) -> None:
     """One _record_line per record."""
     with open(path, "w", newline="") as f:
         f.writelines(map(_record_line, trajectory.records))
 
 
-def load_trajectory(path) -> PruneTrajectory:
+def _numbered_records(path):
+    """(line number, record) for each non-blank line of a trajectory file."""
     with open(path, "rb") as f:
-        return PruneTrajectory(records=[_parse_record(line, path, line_no)
-                                        for line_no, line in enumerate(f, start=1) if line.strip()])
+        return [(line_no, _parse_record(line, path, line_no))
+                for line_no, line in enumerate(f, start=1) if line.strip()]
+
+
+def load_trajectory(path) -> PruneTrajectory:
+    """Every record of a trajectory file, whichever layers each holds."""
+    return PruneTrajectory(records=[record for _, record in _numbered_records(path)])
+
+
+def load_run_trajectory(path) -> PruneTrajectory:
+    """load_trajectory for a file written by run_imp: a record that lacks a
+    layer or mode is FormatError naming its line."""
+    return PruneTrajectory(records=[_check_layers(record, path, line_no)
+                                    for line_no, record in _numbered_records(path)])
 
 
 class RunDirectory:
@@ -284,7 +317,8 @@ class RunDirectory:
                 for line_no, line in enumerate(f, start=1):
                     if not line.endswith(b"\n"):
                         break
-                    record = _parse_record(line, self._trajectory_path, line_no)
+                    record = _check_layers(_parse_record(line, self._trajectory_path, line_no),
+                                           self._trajectory_path, line_no)
                     if record.round != len(records) or not os.path.exists(self._checkpoint(record.round)):
                         break
                     records.append(record)

@@ -243,3 +243,19 @@ def reference_train(params, mask, xs, labels, config, epochs, stream):
                 new[name] = value - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
             params = replace(params, **new)
     return apply_mask(params, mask)
+
+
+def magnitude_prune_reference(W, mask, q):
+    """Keep ceil(q * W.size) entries of the support by a three-key sort:
+    |w| descending (NaN last), then row, then column ascending."""
+    W = np.asarray(W, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    target = math.ceil(q * W.size)
+    if target >= int(mask.sum()):
+        return mask.copy()
+    rows, cols = np.nonzero(mask)
+    order = np.lexsort((cols, rows, -np.abs(W[rows, cols])))
+    winners = order[:target]
+    out = np.zeros_like(mask)
+    out[rows[winners], cols[winners]] = True
+    return out

@@ -3,13 +3,15 @@ them up, so every name it lists must exist in its module; otherwise a
 traced benchmark run (``benchmarks/run.py --trace 1``) fails."""
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
 
-from expanderprune import graphs
+from expanderprune import cli, graphs
 from expanderprune.data import synth_task
-from expanderprune.nets import TrainConfig
+from expanderprune.formats import save_checkpoint
+from expanderprune.nets import LSTM, PruneMask, TrainConfig, init_params
 from expanderprune.pruning import PruneSchedule, run_imp
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -45,6 +47,28 @@ def test_traced_run_counts_every_round_and_checkpoint_byte(monkeypatch, tmp_path
     assert table["formats.save_checkpoint"]["count"] == sum(
         p.stat().st_size for p in tmp_path.glob("round_*.ckpt"))
     assert table["pruning.layer_reports"]["calls"] == rounds
+
+
+def test_traced_analyze_counts_one_span_per_report_and_every_checkpoint_byte(
+        monkeypatch, tmp_path, capsys):
+    # A traced layer-audit reads its spectral counts at graphs.spectral_gaps,
+    # linalg.top_two and graphs.alpha2, and its checkpoint bytes at
+    # formats.load_checkpoint.  A report that skipped one of those names, or
+    # called it twice, would skew them without an error.
+    tracing = _tracing(monkeypatch)
+    params = init_params(3, 4, 2, LSTM, seed=4)
+    ckpt = tmp_path / "lstm.ckpt"
+    save_checkpoint(ckpt, params, PruneMask.full(params))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(["analyze", str(ckpt), "--per-gate"]) == 0
+    reports = len(json.loads(capsys.readouterr().out)["reports"])
+    table = tracing.summarize(tracer)
+    assert reports == 2 * (1 + 4) * 2  # layers x (whole + gates) x modes
+    for name in ("graphs.spectral_gaps", "linalg.top_two", "graphs.alpha2"):
+        assert table[name]["calls"] == reports, name
+    assert table["formats.load_checkpoint"]["calls"] == 1
+    assert table["formats.load_checkpoint"]["count"] == ckpt.stat().st_size
 
 
 def test_bruteforce_spans_are_flat_and_count_every_subset(monkeypatch):

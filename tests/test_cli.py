@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -85,6 +86,20 @@ def test_analyze_fresh_checkpoint_reports_positive_gaps(tmp_path, capsys):
             assert value == "inf"  # dense support: lambda2 = 0
         else:
             assert value == "inf" or value > 0
+
+
+@pytest.mark.parametrize("rows, cols", [(2**32 - 1, 2**32 - 1), (2**31, 8)],
+                         ids=["overflowing", "oversized"])
+def test_analyze_refuses_a_declared_size_beyond_the_file(tmp_path, capsys, rows, cols):
+    # The RPRM header of an LSTM (input 4, hidden 4, 2 classes), then one
+    # matrix header whose data would not fit in memory, let alone the file.
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(b"RPRM" + struct.pack("<IB", 1, 1) + struct.pack("<III", 4, 4, 2)
+                     + struct.pack("<II", rows, cols))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--per-gate")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: EFORMAT: {path}: truncated matrix data at byte offset 29\n"
 
 
 def test_analyze_per_gate_lstm(tmp_path, capsys):
@@ -305,6 +320,29 @@ def test_report_refuses_a_line_that_is_not_a_record(tmp_path, capsys, line):
     assert out == ""
     assert err.startswith(f"error: EFORMAT: {path}: line 1: ")
     assert err.count("\n") == 1
+
+
+def _record_without(section, layer):
+    record = fake_record(0, {}).as_dict()
+    del record[section][layer]
+    return dump_json_line(record).encode()
+
+
+@pytest.mark.parametrize("line, lacks", [
+    (b'{"round":0,"q":{},"test_accuracy":0.5,"reports":{},"zero_crossed":{}}',
+     "reports.w_xh.weighted, reports.w_xh.unweighted, reports.w_hh.weighted, "
+     "reports.w_hh.unweighted, q.w_xh, q.w_hh, zero_crossed.w_xh, zero_crossed.w_hh"),
+    (_record_without("reports", "w_hh"), "reports.w_hh.weighted, reports.w_hh.unweighted"),
+    (_record_without("q", "w_xh"), "q.w_xh"),
+    (_record_without("zero_crossed", "w_hh"), "zero_crossed.w_hh"),
+], ids=["empty", "no-w_hh-reports", "no-w_xh-q", "no-w_hh-crossings"])
+def test_report_refuses_a_record_that_lacks_a_layer(tmp_path, capsys, line, lacks):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(line + b"\n")
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: EFORMAT: {path}: line 1: record lacks {lacks}\n"
 
 
 def test_csv_lands_beside_an_svg_path_without_extension(tmp_path):

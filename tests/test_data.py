@@ -68,6 +68,15 @@ def test_idx_truncation_reports_offset(tmp_path):
         load_idx_images(images_path, labels_path)
 
 
+def test_idx_declared_size_beyond_the_file_is_format_error(tmp_path):
+    # 2^32-1 images of 2^32-1 x 2^32-1 pixels: the size is refused before
+    # any buffer is sized from it.
+    images_path, labels_path = write_idx_fixture(tmp_path, np.zeros((1, 2, 2)), [0])
+    images_path.write_bytes(struct.pack(">IIII", 0x00000803, *[2**32 - 1] * 3))
+    with pytest.raises(FormatError, match=r"truncated data at byte offset 16$"):
+        load_idx_images(images_path, labels_path)
+
+
 def make_dataset(n=3, k=4, width=5, seed=0):
     rng = np.random.default_rng(seed)
     return SequenceDataset(rng.random((n, k, width)), rng.integers(0, 2, n), 2)

@@ -41,6 +41,20 @@ def test_matrix_text_wrong_count(tmp_path):
         load_matrix_text(path)
 
 
+def test_matrix_text_bytes_are_pinned(tmp_path):
+    # Each value is written as Python's shortest round-trip repr, so the
+    # text keeps the sign of -0.0, exponent notation for tiny values and
+    # the rounding of 2**53 + 1 to a float.
+    M = np.array([[0.1, -0.0, 1e-300], [1 / 3, 2**53 + 1, -math.inf]])
+    path = tmp_path / "m.matx"
+    save_matrix_text(M, path)
+    assert path.read_bytes() == (
+        b"matx 2 3\n"
+        b"0.1 -0.0 1e-300\n"
+        b"0.3333333333333333 9007199254740992.0 -inf\n"
+    )
+
+
 @pytest.mark.parametrize("cell", [RNN, LSTM])
 def test_checkpoint_round_trip_bit_exact(tmp_path, cell):
     params = init_params(7, 5, 3, cell, seed=2)

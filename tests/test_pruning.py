@@ -7,6 +7,7 @@ import pytest
 from expanderprune import pruning
 from expanderprune.data import NoiseSpec, SequenceDataset, synth_task
 from expanderprune.errors import ConfigError, DomainError, FormatError
+from expanderprune.formats import dump_json_line
 from expanderprune.graphs import SpectralReport
 from expanderprune.nets import TrainConfig
 from expanderprune.pruning import (
@@ -22,6 +23,7 @@ from expanderprune.pruning import (
     save_trajectory,
     stop_criterion,
 )
+from oracles import magnitude_prune_reference
 
 
 def test_magnitude_prune_keeps_largest():
@@ -57,6 +59,40 @@ def test_magnitude_prune_support_shrinks():
 def test_magnitude_prune_rejects_nonpositive_q():
     with pytest.raises(DomainError):
         magnitude_prune(np.ones((2, 2)), np.ones((2, 2), dtype=bool), 0.0)
+
+
+_SPECIAL_WEIGHTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
+
+
+def _prune_case(rng):
+    """One random (W, mask, q) for the exactness check against the oracle."""
+    m, n = (int(v) for v in rng.integers(1, 13, size=2))
+    kind = rng.integers(4)
+    if kind == 0:
+        W = rng.choice(_SPECIAL_WEIGHTS, size=(m, n))
+    elif kind == 1:
+        W = rng.standard_normal((m, n))
+    elif kind == 2:
+        W = np.where(rng.random((m, n)) < 0.5, rng.choice(_SPECIAL_WEIGHTS, size=(m, n)),
+                     rng.standard_normal((m, n)))
+    else:
+        W = rng.integers(-3, 4, size=(m, n))
+    density = rng.choice([0.0, 1.0, rng.random()])
+    mask = rng.random((m, n)) < density
+    if rng.random() < 0.25:
+        W, mask = np.ascontiguousarray(W.T).T, np.ascontiguousarray(mask.T).T
+    q = float(10.0 ** rng.uniform(-3.0, 0.0))
+    return W, mask, q
+
+
+def test_magnitude_prune_matches_lexsort_reference():
+    rng = np.random.default_rng(20240611)
+    for case in range(2500):
+        W, mask, q = _prune_case(rng)
+        got = magnitude_prune(W, mask, q)
+        assert got.dtype == bool and got.shape == mask.shape, case
+        assert got.flags.c_contiguous, case
+        assert np.array_equal(got, magnitude_prune_reference(W, mask, q)), case
 
 
 def test_schedule_is_geometric():
@@ -238,6 +274,20 @@ def test_run_imp_refuses_a_line_that_is_not_a_record(tmp_path):
     path.write_bytes(b"[]\n" + b"".join(lines[1:]))
     files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(FormatError, match=r"trajectory\.jsonl: line 1: "):
+        tiny_run(tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+def test_run_imp_refuses_a_record_that_lacks_a_layer(tmp_path):
+    tiny_run(tmp_path)
+    path = tmp_path / "trajectory.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = load_trajectory(path).records[1].as_dict()
+    del record["reports"]["w_hh"]
+    lines[1] = (dump_json_line(record) + "\n").encode()
+    path.write_bytes(b"".join(lines))
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(FormatError, match=r"trajectory\.jsonl: line 2: record lacks reports\.w_hh\."):
         tiny_run(tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
