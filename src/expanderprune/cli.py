@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, load_config
 from .data import load_csv_sequences, load_idx_images, synth_task
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DegenerateGraphError, DomainError
 from .formats import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
@@ -75,9 +75,17 @@ def _print_json(obj) -> None:
     print(json.dumps(sanitize_json(obj), indent=2, sort_keys=True))
 
 
-def _layer_graph_reports(weights, mask, modes, label):
+def _graph_reports(weights, mask, modes, label):
     return [{"layer": label, **asdict(spectral_gaps(build_bipartite(weights, mask, mode)))}
             for mode in modes]
+
+
+def _gate_reports(weights, mask, modes, label):
+    """_graph_reports of one LSTM gate block, with an EDEGENERATE entry in
+    place of each report of a block that has no edges."""
+    graphs = [build_bipartite(weights, mask, mode) for mode in modes]
+    return [{"layer": label, "mode": g.mode, "error": DegenerateGraphError.code} if g.degenerate
+            else {"layer": label, **asdict(spectral_gaps(g))} for g in graphs]
 
 
 def cmd_analyze(args) -> int:
@@ -87,24 +95,15 @@ def cmd_analyze(args) -> int:
     if _is_checkpoint(path):
         params, mask = load_checkpoint(path)
         for layer in _LAYER_FLAGS[args.layer]:
-            reports.extend(
-                _layer_graph_reports(getattr(params, layer), getattr(mask, layer), modes, layer)
-            )
+            weights, keep = getattr(params, layer), getattr(mask, layer)
+            reports += _graph_reports(weights, keep, modes, layer)
             if args.per_gate and params.cell_kind == LSTM:
                 H = params.hidden_size
                 for g_index, gate in enumerate(GATES):
                     rows = slice(g_index * H, (g_index + 1) * H)
-                    reports.extend(
-                        _layer_graph_reports(
-                            getattr(params, layer)[rows],
-                            getattr(mask, layer)[rows],
-                            modes,
-                            f"{layer}[{gate}]",
-                        )
-                    )
+                    reports += _gate_reports(weights[rows], keep[rows], modes, f"{layer}[{gate}]")
     else:
-        matrix = load_matrix_text(path)
-        reports.extend(_layer_graph_reports(matrix, None, modes, "matrix"))
+        reports += _graph_reports(load_matrix_text(path), None, modes, "matrix")
     _print_json({"source": path, "reports": reports})
     return 0
 

@@ -2,7 +2,8 @@
 
 matx text format
     Header line ``matx <rows> <cols>`` followed by rows*cols
-    whitespace-separated decimal values in row-major order.
+    whitespace-separated decimal values in row-major order, read as
+    bytes: ASCII whitespace separates, and non-ASCII text is FormatError.
 
 RPRM checkpoint (binary, little-endian)
     magic ``RPRM`` | version u32 | cell kind u8 (0 rnn, 1 lstm) |
@@ -11,6 +12,8 @@ RPRM checkpoint (binary, little-endian)
     each ``rows u32 | cols u32 | rows*cols f64 row-major`` |
     two masks (W_xh, W_hh), each ``rows u32 | cols u32`` followed by the
     row-major boolean grid packed 8 bits per byte, LSB first.
+    Save and load both walk ``_LAYOUT``, and every stored shape is checked
+    against the header (a bias as 1 x n) before any grid is used.
 
 Every binary read goes through ``read_exact``, so a file that ends early
 fails with FormatError naming the field and its byte offset.
@@ -46,9 +49,9 @@ def save_matrix_text(M: np.ndarray, path) -> None:
 
 
 def load_matrix_text(path) -> np.ndarray:
-    with open(path) as f:
+    with open(path, "rb") as f:
         header = f.readline().split()
-        if len(header) != 3 or header[0] != "matx":
+        if len(header) != 3 or header[0] != b"matx":
             raise FormatError(f"{path}: expected header 'matx <rows> <cols>'")
         try:
             rows, cols = int(header[1]), int(header[2])
@@ -105,15 +108,25 @@ def _read_mask(f, path) -> np.ndarray:
     return bits[: rows * cols].astype(bool).reshape(rows, cols)
 
 
+# Every grid of a checkpoint in file order: (group, field).  "params" grids
+# are RecurrentParams tensors stored as f64; "mask" grids are PruneMask bits.
+_LAYOUT = (
+    ("params", "w_xh"), ("params", "w_hh"), ("params", "w_hy"),
+    ("params", "b_h"), ("params", "b_y"),
+    ("mask", "w_xh"), ("mask", "w_hh"),
+)
+_WRITERS = {"params": _write_matrix, "mask": _write_mask}
+_READERS = {"params": _read_matrix, "mask": _read_mask}
+
+
 def save_checkpoint(path, params: RecurrentParams, mask: PruneMask) -> None:
+    groups = {"params": params, "mask": mask}
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IB", CHECKPOINT_VERSION, _CELL_CODES[params.cell_kind]))
         f.write(struct.pack("<III", params.input_size, params.hidden_size, params.class_count))
-        for M in (params.w_xh, params.w_hh, params.w_hy, params.b_h, params.b_y):
-            _write_matrix(f, M)
-        _write_mask(f, mask.w_xh)
-        _write_mask(f, mask.w_hh)
+        for group, name in _LAYOUT:
+            _WRITERS[group](f, getattr(groups[group], name))
 
 
 def load_checkpoint(path) -> tuple[RecurrentParams, PruneMask]:
@@ -126,40 +139,23 @@ def load_checkpoint(path) -> tuple[RecurrentParams, PruneMask]:
             raise FormatError(f"{path}: unsupported version {version}")
         if cell_code not in _CELL_NAMES:
             raise FormatError(f"{path}: unknown cell kind code {cell_code}")
-        input_size, hidden_size, class_count = struct.unpack("<III", read_exact(f, 12, path, "sizes"))
-        cell_kind = _CELL_NAMES[cell_code]
-        w_xh = _read_matrix(f, path)
-        w_hh = _read_matrix(f, path)
-        w_hy = _read_matrix(f, path)
-        b_h = _read_matrix(f, path)[0]
-        b_y = _read_matrix(f, path)[0]
-        mask_xh = _read_mask(f, path)
-        mask_hh = _read_mask(f, path)
+        sizes = struct.unpack("<III", read_exact(f, 12, path, "sizes"))
+        grids = {"params": {}, "mask": {}}
+        for group, name in _LAYOUT:
+            grids[group][name] = _READERS[group](f, path)
+    cell_kind = _CELL_NAMES[cell_code]
+    input_size, hidden_size, class_count = sizes
     rows = gate_rows(cell_kind, hidden_size)
-    expected = {
-        "W_xh": (w_xh.shape, (rows, input_size)),
-        "W_hh": (w_hh.shape, (rows, hidden_size)),
-        "W_hy": (w_hy.shape, (class_count, hidden_size)),
-        "b_h": (b_h.shape, (rows,)),
-        "b_y": (b_y.shape, (class_count,)),
-        "mask_xh": (mask_xh.shape, (rows, input_size)),
-        "mask_hh": (mask_hh.shape, (rows, hidden_size)),
-    }
-    for name, (got, want) in expected.items():
-        if got != want:
-            raise FormatError(f"{path}: {name} has shape {got}, expected {want}")
-    params = RecurrentParams(
-        cell_kind=cell_kind,
-        input_size=input_size,
-        hidden_size=hidden_size,
-        class_count=class_count,
-        w_xh=w_xh,
-        w_hh=w_hh,
-        w_hy=w_hy,
-        b_h=b_h,
-        b_y=b_y,
-    )
-    return params, PruneMask(mask_xh, mask_hh)
+    shapes = {"w_xh": (rows, input_size), "w_hh": (rows, hidden_size),
+              "w_hy": (class_count, hidden_size), "b_h": (1, rows), "b_y": (1, class_count)}
+    for group, name in _LAYOUT:
+        got = grids[group][name].shape
+        if got != shapes[name]:
+            label = name if group == "params" else f"{name} mask"
+            raise FormatError(f"{path}: {label} has shape {got}, expected {shapes[name]}")
+    tensors = grids["params"]
+    tensors["b_h"], tensors["b_y"] = tensors["b_h"].ravel(), tensors["b_y"].ravel()
+    return RecurrentParams(cell_kind, *sizes, **tensors), PruneMask(**grids["mask"])
 
 
 def sanitize_json(value):

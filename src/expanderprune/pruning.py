@@ -231,9 +231,14 @@ def _parse_record(line: bytes, path, line_no: int) -> PruneRecord:
         raise FormatError(f"{path}: line {line_no}: not a trajectory record: {exc}") from None
 
 
-def _check_layers(record: PruneRecord, path, line_no: int) -> PruneRecord:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_run_record(record: PruneRecord, path, line_no: int) -> PruneRecord:
     """``record`` if it holds what a run's records hold: a report for every
-    layer and mode, and a q and zero_crossed entry for every layer."""
+    layer and mode, a q and zero_crossed entry for every layer, an int
+    round, and a number wherever ``report`` does arithmetic."""
     missing = [f"reports.{layer}.{mode}" for layer in LAYERS for mode in MODES
                if mode not in record.reports.get(layer, {})]
     for name in ("q", "zero_crossed"):
@@ -242,6 +247,15 @@ def _check_layers(record: PruneRecord, path, line_no: int) -> PruneRecord:
                     if not isinstance(entries, dict) or layer not in entries]
     if missing:
         raise FormatError(f"{path}: line {line_no}: record lacks {', '.join(missing)}")
+    numbers = {"test_accuracy": record.test_accuracy}
+    for layer in LAYERS:
+        numbers[f"q.{layer}"] = record.q[layer]
+        numbers.update({f"{layer}.{kind}": record.gap(layer, kind) for kind in GAP_KINDS})
+    wrong = [f"{name} is not a number" for name, value in numbers.items() if not _is_number(value)]
+    if isinstance(record.round, bool) or not isinstance(record.round, int):
+        wrong.insert(0, "round is not an int")
+    if wrong:
+        raise FormatError(f"{path}: line {line_no}: {'; '.join(wrong)}")
     return record
 
 
@@ -265,8 +279,9 @@ def load_trajectory(path) -> PruneTrajectory:
 
 def load_run_trajectory(path) -> PruneTrajectory:
     """load_trajectory for a file written by run_imp: a record that lacks a
-    layer or mode is FormatError naming its line."""
-    return PruneTrajectory(records=[_check_layers(record, path, line_no)
+    layer or mode, or holds a non-number where report computes, is
+    FormatError naming its line."""
+    return PruneTrajectory(records=[_check_run_record(record, path, line_no)
                                     for line_no, record in _numbered_records(path)])
 
 
@@ -317,8 +332,8 @@ class RunDirectory:
                 for line_no, line in enumerate(f, start=1):
                     if not line.endswith(b"\n"):
                         break
-                    record = _check_layers(_parse_record(line, self._trajectory_path, line_no),
-                                           self._trajectory_path, line_no)
+                    record = _check_run_record(_parse_record(line, self._trajectory_path, line_no),
+                                               self._trajectory_path, line_no)
                     if record.round != len(records) or not os.path.exists(self._checkpoint(record.round)):
                         break
                     records.append(record)

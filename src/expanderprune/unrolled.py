@@ -25,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError
-from .graphs import SpectralReport, UNWEIGHTED, WEIGHTED, _assemble_report, bipartite_alpha2
+from .graphs import (
+    SpectralReport,
+    WEIGHTED,
+    _assemble_report,
+    bipartite_alpha2,
+    build_bipartite,
+    degree_stats,
+)
 from .linalg import (
     SYMMETRY_ATOL,
     as_dense_matrix,
@@ -116,17 +123,14 @@ def closed_form_spectrum(spec: UnrolledSpec) -> np.ndarray:
 def unrolled_gap_report(spec: UnrolledSpec, mode: str = WEIGHTED) -> SpectralReport:
     """Spectral report of the unrolled graph.
 
-    The block is taken as |B| (weighted) or its support indicator
-    (unweighted); lambda1, lambda2 and alpha2 come from the parity block
-    C exactly as a layer report takes them from its biadjacency.  With
-    k = 1, C is the block itself and this is the layerwise report of B.
+    The parity block C becomes a layer graph exactly as a weight matrix
+    does (|C| or its support, by mode), and lambda1, lambda2, d_avg and
+    alpha2 come from it as a layer report takes them.  With k = 1, C is
+    the block itself and this is the layerwise report of B.
     """
-    if mode not in (WEIGHTED, UNWEIGHTED):
-        raise DomainError(f"unknown mode {mode!r}")
-    block = np.abs(spec.B) if mode == WEIGHTED else (spec.B != 0).astype(np.float64)
-    C = parity_block(UnrolledSpec(block, spec.k))
-    if not C.any():
+    g = build_bipartite(parity_block(spec), mode=mode)
+    if g.degenerate:
         raise DomainError("unrolled graph has no edges")
-    lambda1, lambda2, _ = top_two_singular_values(C)
-    d_avg = float(np.concatenate([C.sum(axis=1), C.sum(axis=0)]).mean())
-    return _assemble_report(mode, lambda1, lambda2, d_avg, bipartite_alpha2(C), C.shape)
+    lambda1, lambda2, _ = top_two_singular_values(g.biadjacency)
+    return _assemble_report(mode, lambda1, lambda2, degree_stats(g).d_avg,
+                            bipartite_alpha2(g.biadjacency), g.biadjacency.shape)

@@ -113,6 +113,72 @@ def test_analyze_per_gate_lstm(tmp_path, capsys):
     assert layers == ["w_xh", "w_xh[i]", "w_xh[f]", "w_xh[g]", "w_xh[o]"]
 
 
+def test_analyze_per_gate_marks_an_edgeless_gate_block(tmp_path, capsys):
+    params = init_params(5, 4, 2, LSTM, seed=1)
+    mask = PruneMask.full(params)
+    mask.w_hh[4:8] = False  # W_hh's f gate keeps no edge
+    ckpt = tmp_path / "lstm.ckpt"
+    save_checkpoint(ckpt, params, mask)
+    code, out, err = run_cli(capsys, "analyze", str(ckpt), "--per-gate")
+    assert (code, err) == (0, "")
+    reports = json.loads(out)["reports"]
+    blocks = [f"{layer}{gate}" for layer in ("w_xh", "w_hh")
+              for gate in ("", "[i]", "[f]", "[g]", "[o]")]
+    assert [r["layer"] for r in reports] == [block for block in blocks for _ in range(2)]
+    assert reports[14:16] == [{"layer": "w_hh[f]", "mode": mode, "error": "EDEGENERATE"}
+                              for mode in ("weighted", "unweighted")]
+    # Every other report is the one analyze prints where no block is edgeless.
+    _, whole, _ = run_cli(capsys, "analyze", str(ckpt))
+    assert [r for r in reports if r["layer"] in ("w_xh", "w_hh")] == json.loads(whole)["reports"]
+    _, gates, _ = run_cli(capsys, "analyze", str(ckpt), "--layer", "wxh", "--per-gate")
+    assert reports[:10] == json.loads(gates)["reports"]
+    assert all("lambda1" in r for r in reports[10:14] + reports[16:])
+
+
+def _checkpoint_with_empty_bias(path, bias):
+    """An LSTM checkpoint (input 3, hidden 4, 2 classes) whose ``bias`` is
+    stored with 0 rows and its width left as it was."""
+    params = init_params(3, 4, 2, LSTM, seed=0)
+    save_checkpoint(path, params, PruneMask.full(params))
+    data = path.read_bytes()
+    stored = ("w_xh", "w_hh", "w_hy", "b_h", "b_y")
+    offset = 21 + sum(8 + getattr(params, name).nbytes for name in stored[:stored.index(bias)])
+    width = getattr(params, bias).size
+    path.write_bytes(data[:offset] + struct.pack("<II", 0, width) + data[offset + 8 + 8 * width:])
+    return width
+
+
+@pytest.mark.parametrize("bias", ["b_h", "b_y"])
+def test_analyze_refuses_a_bias_with_no_rows(tmp_path, capsys, bias):
+    path = tmp_path / "empty_bias.ckpt"
+    width = _checkpoint_with_empty_bias(path, bias)
+    code, out, err = run_cli(capsys, "analyze", str(path), "--per-gate")
+    assert (code, out) == (2, "")
+    assert err == f"error: EFORMAT: {path}: {bias} has shape (0, {width}), expected (1, {width})\n"
+
+
+def _checkpoint_with_flipped_magic(path):
+    params = init_params(3, 4, 2, LSTM, seed=0)
+    save_checkpoint(path, params, PruneMask.full(params))
+    path.write_bytes(b"\xd2" + path.read_bytes()[1:])
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "expected header 'matx <rows> <cols>'"),
+    (b"matx 1 2\n1.0 \xff\n", "could not convert string to float: b'\\xff'"),
+    (b"matx 1 2\n1.0\xc2\xa02.0\n", "expected 2 values, found 1"),
+], ids=["flipped-magic", "not-utf8-value", "nbsp-separator"])
+def test_analyze_reads_a_file_that_is_not_text_as_eformat(tmp_path, capsys, content, message):
+    path = tmp_path / "input"
+    if content is None:
+        _checkpoint_with_flipped_magic(path)
+    else:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "analyze", str(path), "--per-gate")
+    assert (code, out) == (2, "")
+    assert err == f"error: EFORMAT: {path}: {message}\n"
+
+
 def test_unroll_closed_form_agrees(tmp_path, capsys):
     rng = np.random.default_rng(2)
     B = rng.standard_normal((3, 3))
@@ -343,6 +409,45 @@ def test_report_refuses_a_record_that_lacks_a_layer(tmp_path, capsys, line, lack
     assert code == 2
     assert out == ""
     assert err == f"error: EFORMAT: {path}: line 1: record lacks {lacks}\n"
+
+
+def _record_where(value, *keys):
+    record = fake_record(0, {}).as_dict()
+    *parents, last = keys
+    target = record
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return dump_json_line(record).encode()
+
+
+@pytest.mark.parametrize("line, wrong", [
+    (_record_where("x", "q", "w_xh"), "q.w_xh is not a number"),
+    (_record_where("0", "round"), "round is not an int"),
+    (_record_where(0.0, "round"), "round is not an int"),
+    (_record_where(True, "test_accuracy"), "test_accuracy is not a number"),
+    (_record_where("x", "reports", "w_hh", "weighted", "delta_s"),
+     "w_hh.weighted_delta_s is not a number"),
+    (_record_where(None, "reports", "w_xh", "unweighted", "delta_r"),
+     "w_xh.unweighted_delta_r is not a number"),
+], ids=["string-q", "string-round", "float-round", "bool-accuracy", "string-delta-s",
+        "null-delta-r"])
+def test_report_refuses_a_record_without_numbers(tmp_path, capsys, line, wrong):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(line + b"\n")
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: EFORMAT: {path}: line 1: {wrong}\n"
+
+
+def test_report_reads_nonfinite_markers_as_numbers(tmp_path, capsys):
+    record = fake_record(0, {"weighted_delta_s": math.inf}).as_dict()
+    record["test_accuracy"] = math.nan
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(dump_json_line(record).encode() + b"\n")
+    assert b'"inf"' in path.read_bytes() and b'"nan"' in path.read_bytes()
+    code, _, err = run_cli(capsys, "report", str(path))
+    assert (code, err) == (0, "")
 
 
 def test_csv_lands_beside_an_svg_path_without_extension(tmp_path):

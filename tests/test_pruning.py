@@ -17,6 +17,7 @@ from expanderprune.pruning import (
     PruneTrajectory,
     detect_zero_crossing,
     first_zero_crossing,
+    load_run_trajectory,
     load_trajectory,
     magnitude_prune,
     run_imp,
@@ -290,6 +291,30 @@ def test_run_imp_refuses_a_record_that_lacks_a_layer(tmp_path):
     with pytest.raises(FormatError, match=r"trajectory\.jsonl: line 2: record lacks reports\.w_hh\."):
         tiny_run(tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+def test_run_imp_refuses_a_record_whose_round_is_not_an_int(tmp_path):
+    tiny_run(tmp_path)
+    path = tmp_path / "trajectory.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = load_trajectory(path).records[1].as_dict()
+    record["round"] = 1.0
+    lines[1] = (dump_json_line(record) + "\n").encode()
+    path.write_bytes(b"".join(lines))
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(FormatError, match=r"trajectory\.jsonl: line 2: round is not an int$"):
+        tiny_run(tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+def test_only_run_readers_check_value_types(tmp_path):
+    record = fake_record(0, {}).as_dict()
+    record["q"]["w_xh"] = "x"
+    path = tmp_path / "t.jsonl"
+    path.write_text(dump_json_line(record) + "\n")
+    assert load_trajectory(path).records[0].q["w_xh"] == "x"
+    with pytest.raises(FormatError, match=r"t\.jsonl: line 1: q\.w_xh is not a number$"):
+        load_run_trajectory(path)
 
 
 def test_run_imp_refuses_a_dataset_with_an_empty_split(tmp_path, monkeypatch):
