@@ -171,15 +171,14 @@ def synth_task(kind: str, n_samples: int, k: int, input_size: int, seed: int = 0
             return events * rng.uniform(0.8, 1.2, size=shape)
 
         X[:, :, 1:] = echo(X[:, :, [0]], (n_samples, k, input_size - 1))
-        for i in range(n_samples):
-            if running_parity_label(X[i]) != targets[i]:
-                j = int(rng.integers(k))
-                X[i, j, 0] = 1.0 - X[i, j, 0]
-                X[i, j, 1:] = echo(X[i, j, 0], input_size - 1)
+        labels = np.count_nonzero(X[:, :, 0] > 0.5, axis=1) % 2
+        for i in np.flatnonzero(labels != targets):
+            j = int(rng.integers(k))
+            X[i, j, 0] = 1.0 - X[i, j, 0]
+            X[i, j, 1:] = echo(X[i, j, 0], input_size - 1)
     else:
-        for i in range(n_samples):
-            if mean_threshold_label(X[i]) != targets[i]:
-                X[i] = 1.0 - X[i]
+        flip = (X.reshape(n_samples, -1).mean(axis=1) > 0.5) != targets
+        X[flip] = 1.0 - X[flip]
     return SequenceDataset(X, targets, 2)
 
 

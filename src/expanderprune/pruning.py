@@ -206,16 +206,10 @@ def detect_zero_crossing(trajectory: PruneTrajectory, layer: str, kind: str) -> 
 
 
 def stop_criterion(trajectory: PruneTrajectory, policy) -> bool:
-    """True (stop) when any monitored (layer, gap kind) has crossed zero.
-
-    An empty policy never stops.
-    """
-    for layer, kind in policy:
-        if not trajectory.records:
-            return False
-        if detect_zero_crossing(trajectory, layer, kind) is not None:
-            return True
-    return False
+    """True (stop) when any monitored (layer, gap kind) has crossed zero;
+    an empty policy never stops."""
+    return bool(trajectory.records) and any(
+        detect_zero_crossing(trajectory, layer, kind) is not None for layer, kind in policy)
 
 
 def _record_line(record: PruneRecord) -> str:
@@ -265,24 +259,36 @@ def save_trajectory(trajectory: PruneTrajectory, path) -> None:
         f.writelines(map(_record_line, trajectory.records))
 
 
-def _numbered_records(path):
-    """(line number, record) for each non-blank line of a trajectory file."""
-    with open(path, "rb") as f:
-        return [(line_no, _parse_record(line, path, line_no))
-                for line_no, line in enumerate(f, start=1) if line.strip()]
-
-
 def load_trajectory(path) -> PruneTrajectory:
     """Every record of a trajectory file, whichever layers each holds."""
-    return PruneTrajectory(records=[record for _, record in _numbered_records(path)])
+    with open(path, "rb") as f:
+        return PruneTrajectory(records=[_parse_record(line, path, line_no)
+                                        for line_no, line in enumerate(f, start=1) if line.strip()])
+
+
+def _run_lines(path):
+    """The rule for a run's trajectory: line N ends in a newline and holds
+    round N-1's run record (FormatError if it holds no run record).
+    Returns [(record, end offset)] for the lines that keep it, and the
+    number and fault of the first line that does not, or None, None."""
+    kept = []
+    with open(path, "rb") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.endswith(b"\n"):
+                return kept, line_no, "line does not end in a newline"
+            record = _check_run_record(_parse_record(line, path, line_no), path, line_no)
+            if record.round != len(kept):
+                return kept, line_no, f"round {record.round} where round {len(kept)} belongs"
+            kept.append((record, f.tell()))
+    return kept, None, None
 
 
 def load_run_trajectory(path) -> PruneTrajectory:
-    """load_trajectory for a file written by run_imp: a record that lacks a
-    layer or mode, or holds a non-number where report computes, is
-    FormatError naming its line."""
-    return PruneTrajectory(records=[_check_run_record(record, path, line_no)
-                                    for line_no, record in _numbered_records(path)])
+    """run_imp's records, or FormatError at the first line _run_lines refuses."""
+    kept, line_no, fault = _run_lines(path)
+    if fault:
+        raise FormatError(f"{path}: line {line_no}: {fault}")
+    return PruneTrajectory(records=[record for record, _ in kept])
 
 
 class RunDirectory:
@@ -319,25 +325,17 @@ class RunDirectory:
         return os.path.join(self._path, f"round_{round_index:03d}.ckpt")
 
     def resume(self):
-        """The usable prefix of an earlier run and the model it ended with.
-
-        The prefix is records 0..R whose lines end in a newline and whose
-        checkpoints exist; trajectory.jsonl is cut back to its end.
-        Returns (records, params, mask), with params and mask None when no
-        round is usable.
-        """
+        """The usable prefix of an earlier run and the model it ended with:
+        the lines _run_lines keeps, up to the first whose checkpoint is
+        missing.  trajectory.jsonl is cut back to its end.  Returns
+        (records, params, mask); params and mask are None for no round."""
         records, end = [], 0
         if os.path.exists(self._trajectory_path):
-            with open(self._trajectory_path, "rb") as f:
-                for line_no, line in enumerate(f, start=1):
-                    if not line.endswith(b"\n"):
-                        break
-                    record = _check_run_record(_parse_record(line, self._trajectory_path, line_no),
-                                               self._trajectory_path, line_no)
-                    if record.round != len(records) or not os.path.exists(self._checkpoint(record.round)):
-                        break
-                    records.append(record)
-                    end += len(line)
+            for record, line_end in _run_lines(self._trajectory_path)[0]:
+                if not os.path.exists(self._checkpoint(record.round)):
+                    break
+                records.append(record)
+                end = line_end
             os.truncate(self._trajectory_path, end)
         if not records:
             return records, None, None

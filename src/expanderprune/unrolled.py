@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SizeError
+from .errors import DegenerateGraphError, DomainError, ShapeError, SizeError
 from .graphs import (
     SpectralReport,
     WEIGHTED,
@@ -130,7 +130,7 @@ def unrolled_gap_report(spec: UnrolledSpec, mode: str = WEIGHTED) -> SpectralRep
     """
     g = build_bipartite(parity_block(spec), mode=mode)
     if g.degenerate:
-        raise DomainError("unrolled graph has no edges")
+        raise DegenerateGraphError("unrolled graph has no edges")
     lambda1, lambda2, _ = top_two_singular_values(g.biadjacency)
     return _assemble_report(mode, lambda1, lambda2, degree_stats(g).d_avg,
                             bipartite_alpha2(g.biadjacency), g.biadjacency.shape)

@@ -10,7 +10,7 @@ import numpy as np
 
 from expanderprune import cli, graphs
 from expanderprune.data import synth_task
-from expanderprune.formats import save_checkpoint
+from expanderprune.formats import save_checkpoint, save_matrix_text
 from expanderprune.nets import LSTM, PruneMask, TrainConfig, init_params
 from expanderprune.pruning import PruneSchedule, run_imp
 
@@ -69,6 +69,25 @@ def test_traced_analyze_counts_one_span_per_report_and_every_checkpoint_byte(
         assert table[name]["calls"] == reports, name
     assert table["formats.load_checkpoint"]["calls"] == 1
     assert table["formats.load_checkpoint"]["count"] == ckpt.stat().st_size
+
+
+def test_traced_unroll_counts_its_dimension_outside_the_layer_report_names(
+        monkeypatch, tmp_path, capsys):
+    # layer-audit expects linalg.top_two and graphs.alpha2 spans from its
+    # analyze reports only, and unrolled.dim_sum from unroll's.  An unroll
+    # report routed through either layer name would skew those counts.
+    tracing = _tracing(monkeypatch)
+    path = tmp_path / "block.matx"
+    save_matrix_text(np.random.default_rng(6).standard_normal((3, 3)), path)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(["unroll", str(path), "--k", "4"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["reports"]) == 2
+    table = tracing.summarize(tracer)
+    assert table["unrolled.gap_report"]["calls"] == 2
+    assert table["unrolled.gap_report"]["count"] == 2 * (4 + 1) * 3
+    assert "linalg.top_two" not in table
+    assert "graphs.alpha2" not in table
 
 
 def test_bruteforce_spans_are_flat_and_count_every_subset(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from expanderprune.cli import main
 from expanderprune.formats import dump_json_line, save_checkpoint, save_matrix_text
 from expanderprune.nets import LSTM, PruneMask, init_params
-from expanderprune.pruning import load_trajectory
+from expanderprune.pruning import RunDirectory, load_trajectory
 from expanderprune.svgplot import render_trajectory
-from test_pruning import fake_record, trajectory_from_gaps
+from test_pruning import fake_record, tiny_run, trajectory_from_gaps
 
 CONFIG = """
 [experiment]
@@ -201,6 +202,15 @@ def test_unroll_refuses_closed_form_for_asymmetric(tmp_path, capsys):
     assert err.startswith("error: EDOMAIN:")
 
 
+def test_analyze_and_unroll_refuse_an_edgeless_block_with_one_code(tmp_path, capsys):
+    path = tmp_path / "zero.matx"
+    save_matrix_text(np.zeros((2, 2)), path)
+    for argv in (["analyze", str(path)], ["unroll", str(path), "--k", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: EDEGENERATE: ") and err.count("\n") == 1, err
+
+
 def test_prune_train_report_end_to_end(tmp_path, capsys):
     config_path = tmp_path / "exp.ini"
     out_dir = tmp_path / "run"
@@ -360,6 +370,50 @@ def test_exp_home_resolves_relative_output(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "prune", "--config", str(config_path))
     assert code == 0
     assert (tmp_path / "nested" / "run" / "trajectory.jsonl").exists()
+
+
+# The rounds two prune processes started on one directory wrote into its
+# trajectory.jsonl, one line each.
+INTERLEAVED_ROUNDS = (0, 1, 2, 1, 3, 2, 4, 3, 5, 4, 5, 6, 6)
+
+
+@pytest.fixture
+def interleaved_run(tmp_path):
+    """A 6-round run directory whose trajectory holds INTERLEAVED_ROUNDS'
+    lines, and the files of the uninterrupted run."""
+    tiny_run(tmp_path / "full", rounds=6)
+    full = {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()}
+    lines = full["trajectory.jsonl"].splitlines(keepends=True)
+    run = tmp_path / "run"
+    shutil.copytree(tmp_path / "full", run)
+    (run / "trajectory.jsonl").write_bytes(b"".join(lines[r] for r in INTERLEAVED_ROUNDS))
+    return run, full
+
+
+def test_report_refuses_rounds_out_of_order(interleaved_run, capsys):
+    run, _ = interleaved_run
+    path = run / "trajectory.jsonl"
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: EFORMAT: {path}: line 4: round 1 where round 3 belongs\n"
+
+
+def test_resume_keeps_the_rounds_in_order_and_reproduces_the_run(interleaved_run):
+    run, full = interleaved_run
+    records, _, _ = RunDirectory(str(run), json.loads(full["run_config.json"])).resume()
+    assert [r.round for r in records] == [0, 1, 2]
+    lines = full["trajectory.jsonl"].splitlines(keepends=True)
+    assert (run / "trajectory.jsonl").read_bytes() == b"".join(lines[:3])
+    tiny_run(run, rounds=6)
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == full
+
+
+def test_report_refuses_a_line_without_its_newline(tmp_path, capsys):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(dump_json_line(fake_record(0, {}).as_dict()).encode())
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: EFORMAT: {path}: line 1: line does not end in a newline\n"
 
 
 def test_report_empty_trajectory_fails(tmp_path, capsys):

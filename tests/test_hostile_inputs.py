@@ -1,5 +1,6 @@
 """Property tests: a damaged checkpoint or arbitrary matx bytes either
-analyze cleanly or fail with one coded error line, never a traceback."""
+analyze cleanly or fail with one coded error line, never a traceback,
+and a damaged trajectory is read by report and resume through one rule."""
 
 import contextlib
 import functools
@@ -7,12 +8,14 @@ import io
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from expanderprune.cli import main
 from expanderprune.formats import save_checkpoint
 from expanderprune.nets import LSTM, PruneMask, init_params
+from expanderprune.pruning import RunDirectory
 
 _PARAMS = init_params(3, 4, 2, LSTM, seed=0)
 
@@ -64,24 +67,34 @@ def _mutate(data: bytes, mutation) -> bytes:
     return data[:offset] + struct.pack("<I", value) + data[offset + 4:]
 
 
-def _assert_analyze_contract(data: bytes) -> None:
-    """analyze --per-gate on ``data`` exits 0, or 2 with exactly one
-    ``error: CODE: ...`` line whose CODE is not the catch-all EINVAL."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "input"
-        path.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["analyze", str(path), "--per-gate"])
+def _quiet_main(argv):
+    """(exit code, stdout, stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(code: int, out: str, err: str) -> None:
+    """Exit 0, or 2 with exactly one ``error: CODE: ...`` line whose CODE
+    is not the catch-all EINVAL."""
     if code == 0:
-        assert err.getvalue() == ""
+        assert err == ""
         return
     assert code == 2
-    assert out.getvalue() == ""
-    lines = err.getvalue().splitlines()
+    assert out == ""
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: E"), lines
     code_name = lines[0].split(":")[1].strip()
     assert code_name != "EINVAL", lines[0]
+
+
+def _assert_analyze_contract(data: bytes) -> None:
+    """analyze --per-gate on ``data`` keeps _assert_exit_contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        _assert_exit_contract(*_quiet_main(["analyze", str(path), "--per-gate"]))
 
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -116,3 +129,117 @@ _matx_text = st.builds(
 @example(b"matx 1 1\n\xff\n")
 def test_arbitrary_matx_bytes_analyze_or_fail_with_one_coded_line(data):
     _assert_analyze_contract(data)
+
+
+_RUN_CONFIG = """
+[experiment]
+cell_kind = rnn
+hidden_size = 3
+seed = 1
+
+[data]
+source = synth
+synth_kind = mean-threshold
+n_samples = 20
+k = 2
+input_size = 2
+
+[train]
+train_epochs = 1
+batch_size = 16
+
+[prune]
+rounds = 2
+finetune_epochs = 1
+"""
+
+
+def _read_dir(path: Path) -> dict:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+@functools.cache
+def _base_run() -> tuple:
+    """The files of a 3-round run (rounds 0..2) as (name, bytes) pairs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.ini"
+        config.write_text(_RUN_CONFIG)
+        code, _, err = _quiet_main(["prune", "--config", str(config), "--out", f"{tmp}/run"])
+        assert (code, err) == (0, "")
+        return tuple(sorted(_read_dir(Path(tmp) / "run").items()))
+
+
+_line_index = st.integers(0, 2)
+_line_mutations = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**16), st.just(0)),
+    st.tuples(st.sampled_from(["drop", "duplicate", "blank"]), _line_index, st.just(0)),
+    st.tuples(st.just("swap"), _line_index, _line_index),
+)
+
+
+def _mutate_lines(data: bytes, mutation) -> bytes:
+    """``data`` with one byte flipped, cut short, or one line dropped,
+    duplicated, swapped with another or preceded by a blank line."""
+    kind, a, b = mutation
+    if kind in ("flip", "truncate"):
+        if not data:
+            return data
+        a %= len(data)
+        return data[:a] + bytes([data[a] ^ b]) + data[a + 1:] if kind == "flip" else data[:a]
+    lines = data.splitlines(keepends=True)
+    if not lines:
+        return data
+    a, b = a % len(lines), b % len(lines)
+    if kind == "drop":
+        del lines[a]
+    elif kind == "duplicate":
+        lines.insert(a, lines[a])
+    elif kind == "blank":
+        lines.insert(a, b"\n")
+    else:
+        lines[a], lines[b] = lines[b], lines[a]
+    return b"".join(lines)
+
+
+@settings(_SETTINGS, max_examples=150)
+@given(st.lists(_line_mutations, min_size=1, max_size=3))
+@example([("swap", 1, 2)])
+@example([("duplicate", 1, 0)])
+@example([("blank", 1, 0)])
+@example([("truncate", -1, 0)])  # the last line loses its newline
+def test_mutated_trajectory_lines_report_and_resume_by_one_rule(mutations):
+    # report and a resuming prune read the lines by one rule: report
+    # accepts a file exactly when resume keeps every one of its lines.
+    data = dict(_base_run())["trajectory.jsonl"]
+    for mutation in mutations:
+        data = _mutate_lines(data, mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        run.mkdir()
+        for name, content in _base_run():
+            (run / name).write_bytes(content)
+        trajectory = run / "trajectory.jsonl"
+        trajectory.write_bytes(data)
+
+        code, out, err = _quiet_main(["report", str(trajectory), "--out", f"{tmp}/fig.svg"])
+        _assert_exit_contract(code, out, err)
+        report_accepted = code == 0
+
+        config = Path(tmp) / "run.ini"
+        config.write_text(_RUN_CONFIG)
+        before = _read_dir(run)
+        resumed_from = []
+
+        def resume(self):
+            result = real_resume(self)
+            resumed_from.append(trajectory.read_bytes())
+            return result
+
+        real_resume = RunDirectory.resume
+        with mock.patch.object(RunDirectory, "resume", resume):
+            code, _, err = _quiet_main(["prune", "--config", str(config), "--out", str(run)])
+        assert code in (0, 2), err
+        if code == 2:
+            assert _read_dir(run) == before
+        assert report_accepted == (resumed_from == [data] and data != b"")
