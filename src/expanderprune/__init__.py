@@ -1,57 +1,5 @@
 """Expander-graph diagnostics and iterative magnitude pruning for RNN/LSTM layers."""
 
-from .data import (
-    NoiseSpec,
-    SequenceDataset,
-    add_noise,
-    load_csv_sequences,
-    load_idx_images,
-    synth_task,
-    train_test_split,
-)
-from .errors import (
-    ConfigError,
-    DegenerateGraphError,
-    DomainError,
-    FormatError,
-    ShapeError,
-    SizeError,
-)
-from .graphs import (
-    BipartiteGraph,
-    DegreeStats,
-    SpectralReport,
-    build_bipartite,
-    cheeger_bounds,
-    degree_stats,
-    edge_cheeger_bruteforce,
-    edge_conductance_bruteforce,
-    normalized_laplacian_alpha2,
-    spectral_gaps,
-    vertex_cheeger_bruteforce,
-)
-from .linalg import sym_eigenvalues, top_two_singular_values
-from .nets import (
-    PruneMask,
-    RecurrentParams,
-    TrainConfig,
-    adam_step,
-    evaluate,
-    forward,
-    init_params,
-    loss_and_grads,
-)
-from .pruning import (
-    PruneRecord,
-    PruneSchedule,
-    PruneTrajectory,
-    detect_zero_crossing,
-    load_trajectory,
-    magnitude_prune,
-    run_imp,
-    save_trajectory,
-    stop_criterion,
-)
-from .unrolled import UnrolledSpec, build_unrolled, closed_form_spectrum, unrolled_gap_report
+from . import data, errors, graphs, linalg, nets, pruning, unrolled  # noqa: F401
 
 __version__ = "0.1.0"

@@ -34,12 +34,11 @@ Optional sections: [noise] (p, sigma, seed, apply_to) and, under [data],
 either idx paths (images_path, labels_path), a csv_path, or the synth
 fields.  A ';' after whitespace starts an inline comment.
 
-Each of [data], [train], [prune] and [noise] is read from the fields of
-the dataclass that owns it (DataConfig, TrainConfig, PruneSchedule,
-NoiseSpec): every value is converted by its field's annotated type, and
-an absent key keeps the dataclass default.  [experiment] seed is
-TrainConfig.seed; the synthetic data and an unset [noise] seed derive
-from it, after any override passed to parse_config/load_config.
+Every key is a field of the dataclass that owns its section, converted
+by the field's annotated type; an absent key keeps the dataclass default,
+an unknown section or key is an error, and '%' is literal.  [experiment]
+seed is TrainConfig.seed; the synthetic data and an unset [noise] seed
+derive from it, after any override passed to parse_config/load_config.
 Validation collects every violated field before failing.
 """
 
@@ -114,43 +113,54 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
 
     ``seed``, when given, replaces [experiment] seed.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    # No section can be named "", so [DEFAULT] is an ordinary (unknown) section.
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None,
+                                       default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc).replace("\n", " ")) from None
 
-    errors: list[str] = []
+    def scalars(cls) -> dict:
+        return {f.name: _CONVERTERS[f.type] for f in fields(cls) if f.type in _CONVERTERS}
 
-    def read(section, owned_fields) -> dict:
-        """The scalar fields set in ``section``, converted by annotated type."""
-        values = {}
-        for f in owned_fields:
-            convert = _CONVERTERS.get(f.type)
-            if convert is None or not parser.has_option(section, f.name):
+    # Every key a section may hold, with its converter; TrainConfig.seed
+    # is [experiment] seed, so [train] has no seed key.
+    train = scalars(TrainConfig)
+    known = {"experiment": {**scalars(ExperimentConfig), "seed": train.pop("seed")},
+             "data": scalars(DataConfig), "noise": scalars(NoiseSpec), "train": train,
+             "prune": scalars(PruneSchedule), "monitor": {"policy": _parse_policy}}
+    errors: list[str] = []
+    values = {section: {} for section in known}
+    for section in parser.sections():
+        if section not in known:
+            errors.append(f"{section}: unknown section")
+            continue
+        for key, raw in parser.items(section):
+            if key not in known[section]:
+                errors.append(f"{section}.{key}: unknown key")
                 continue
             try:
-                values[f.name] = convert(parser.get(section, f.name))
+                values[section][key] = known[section][key](raw)
             except ValueError as exc:
-                errors.append(f"{section}.{f.name}: {exc}")
-        return values
+                errors.append(f"{section}.{key}: {exc}")
 
-    # [experiment] seed is TrainConfig.seed; [train] has no seed key.
-    train_fields = {f.name: f for f in fields(TrainConfig)}
-    seed_field = train_fields.pop("seed")
-    experiment = read("experiment", [*fields(ExperimentConfig), seed_field])
-    file_seed = experiment.pop("seed", seed_field.default)
-    seed = file_seed if seed is None else seed
-    cfg = ExperimentConfig(**experiment, data=DataConfig(**read("data", fields(DataConfig))))
-
-    if parser.has_section("noise"):
+    def build(section, cls, **defaults):
+        """``cls`` from the section's values over ``defaults``; None once a refusal is logged."""
         try:
-            cfg.noise = NoiseSpec(**{"seed": seed, **read("noise", fields(NoiseSpec))})
+            return cls(**{**defaults, **values[section]})
         except ValueError as exc:
-            errors.append(f"noise: {exc}")
-    train_values = read("train", train_fields.values())
-    schedule_values = read("prune", fields(PruneSchedule))
-    policy_text = parser.get("monitor", "policy", fallback="")
+            errors.append(f"{section}: {exc}")
+
+    experiment = values["experiment"]
+    file_seed = experiment.pop("seed", TrainConfig.seed)
+    seed = file_seed if seed is None else seed
+    cfg = ExperimentConfig(**experiment, data=DataConfig(**values["data"]))
+    if parser.has_section("noise"):
+        cfg.noise = build("noise", NoiseSpec, seed=seed)
+    cfg.train = build("train", TrainConfig, seed=seed)
+    cfg.schedule = build("prune", PruneSchedule)
+    cfg.policy = values["monitor"].get("policy", ())
 
     # structural validation, collecting every problem
     data = cfg.data
@@ -179,23 +189,11 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
             errors.append(f"data.csv_path: no such file: {data.csv_path}")
     if data.limit < 0:
         errors.append("data.limit: must be >= 0")
-    try:
-        cfg.train = TrainConfig(**train_values, seed=seed)
-    except ValueError as exc:
-        errors.append(f"train: {exc}")
-    try:
-        cfg.schedule = PruneSchedule(**schedule_values)
-    except ValueError as exc:
-        errors.append(f"prune: {exc}")
-    try:
-        cfg.policy = _parse_policy(policy_text)
-        for layer, kind in cfg.policy:
-            if layer not in LAYERS:
-                errors.append(f"monitor.policy: unknown layer {layer!r}")
-            if kind not in GAP_KINDS:
-                errors.append(f"monitor.policy: unknown gap kind {kind!r}")
-    except ValueError as exc:
-        errors.append(f"monitor.policy: {exc}")
+    for layer, kind in cfg.policy:
+        if layer not in LAYERS:
+            errors.append(f"monitor.policy: unknown layer {layer!r}")
+        if kind not in GAP_KINDS:
+            errors.append(f"monitor.policy: unknown gap kind {kind!r}")
 
     if errors:
         raise ConfigError("; ".join(errors))
@@ -203,5 +201,9 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
 
 
 def load_config(path, seed: int | None = None) -> ExperimentConfig:
-    with open(path) as f:
-        return parse_config(f.read(), seed)
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return parse_config(raw.decode("utf-8"), seed)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None

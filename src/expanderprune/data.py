@@ -11,6 +11,7 @@ byte offset where it ends.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -196,15 +197,22 @@ def load_csv_sequences(path) -> SequenceDataset:
 
     Line 1 is the header ``k,input_size,class_count``; every following
     line is one sequence: the integer label, then k*input_size values in
-    step-major order.  Ragged or malformed rows raise FormatError with
-    their line number.
+    step-major order.  Ragged or malformed rows, bytes that are not
+    UTF-8 and fields past the csv module's size limit raise FormatError
+    with their line number.
     """
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file, expected header line") from None
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file, expected header line")
         try:
             k, input_size, class_count = (int(v) for v in header)
         except ValueError:
@@ -227,12 +235,14 @@ def load_csv_sequences(path) -> SequenceDataset:
                 sequences.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise FormatError(f"{path}: line {line_no}: {exc}") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not sequences:
         raise FormatError(f"{path}: no sequences after the header")
     X = np.array(sequences).reshape(len(sequences), k, input_size)
     try:
         return SequenceDataset(X, np.array(labels), class_count)
-    except (DomainError, ShapeError) as exc:
+    except (DomainError, ShapeError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 

@@ -79,10 +79,6 @@ class RecurrentParams:
     b_h: np.ndarray   # (gate_rows,)
     b_y: np.ndarray   # (class_count,)
 
-    @property
-    def gate_rows(self) -> int:
-        return gate_rows(self.cell_kind, self.hidden_size)
-
     def tensors(self) -> dict[str, np.ndarray]:
         return {"w_xh": self.w_xh, "w_hh": self.w_hh, "w_hy": self.w_hy,
                 "b_h": self.b_h, "b_y": self.b_y}
@@ -102,9 +98,6 @@ class PruneMask:
     def full(cls, params: RecurrentParams) -> "PruneMask":
         return cls(np.ones_like(params.w_xh, dtype=bool),
                    np.ones_like(params.w_hh, dtype=bool))
-
-    def copy(self) -> "PruneMask":
-        return PruneMask(self.w_xh.copy(), self.w_hh.copy())
 
     def kept_fraction(self, layer: str) -> float:
         mask = getattr(self, layer)

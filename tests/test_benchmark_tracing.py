@@ -4,6 +4,9 @@ traced benchmark run (``benchmarks/run.py --trace 1``) fails."""
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,8 @@ from expanderprune.formats import save_checkpoint, save_matrix_text
 from expanderprune.nets import LSTM, PruneMask, TrainConfig, init_params
 from expanderprune.pruning import PruneSchedule, run_imp
 
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def _tracing(monkeypatch):
@@ -107,3 +111,17 @@ def test_bruteforce_spans_are_flat_and_count_every_subset(monkeypatch):
     assert [span[3] for span in spans] == [-1, -1, -1]  # none nested
     assert [span[4] for span in spans] == [2 ** n] * 3
     assert tracing.summarize(tracer)["graphs.bruteforce"]["count"] == 3 * 2 ** n
+
+
+def test_importing_the_package_loads_the_modules_setup_s_times():
+    # benchmarks/run.py times `import expanderprune` in a fresh interpreter
+    # as setup_s.  A package that imported less (lazily) or more (cli)
+    # would move that sample without any change to the work it measures.
+    child = subprocess.run([sys.executable, "-c", "import sys, expanderprune; print(*sys.modules)"],
+                           cwd=ROOT, capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    loaded = child.stdout.split()
+    assert "numpy" in loaded
+    modules = ("data", "errors", "formats", "graphs", "linalg", "nets", "pruning", "unrolled")
+    expected = ["expanderprune"] + [f"expanderprune.{name}" for name in modules]
+    assert sorted(m for m in loaded if m.partition(".")[0] == "expanderprune") == expected

@@ -363,6 +363,67 @@ def test_prune_invalid_config_lists_fields(tmp_path, capsys):
     assert "cell_kind" in err and "data.source" in err
 
 
+@pytest.mark.parametrize("old, new, fault", [
+    ("train_epochs = 2", "epochs = 2", "train.epochs: unknown key"),
+    ("batch_size = 20", "batch_size = 20\nseed = 5", "train.seed: unknown key"),
+    ("learning_rate", "learning_rat", "train.learning_rat: unknown key"),
+    ("[prune]", "[prnue]", "prnue: unknown section"),
+])
+def test_prune_refuses_an_unknown_key_or_section(tmp_path, capsys, old, new, fault):
+    # A misspelt key or section would otherwise leave its setting at the
+    # default without a word.
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "run").replace(old, new))
+    code, out, err = run_cli(capsys, "prune", "--config", str(config_path))
+    assert (code, out, err) == (2, "", f"error: ECONFIG: {fault}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_percent_sign_in_a_config_value_is_literal(tmp_path, capsys):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "runs" / "50%"))
+    code, _, err = run_cli(capsys, "train", "--config", str(config_path))
+    assert (code, err) == (0, "")
+    assert (tmp_path / "runs" / "50%" / "dense.ckpt").is_file()
+
+
+def test_a_config_that_is_not_utf8_is_econfig(tmp_path, capsys):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_bytes(CONFIG.format(out=tmp_path / "run").encode() + b"; caf\xe9\n")
+    code, out, err = run_cli(capsys, "prune", "--config", str(config_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: ECONFIG: {config_path}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content, fault", [
+    (b"4,3,2\n" + b"0" + b",0.5" * 12 + b"\n1,0.5,\xff" + b",0.5" * 11 + b"\n",
+     "line 3: not UTF-8 text (invalid start byte)"),
+    (b"4,3,2\n0," + b"1" * 200_000 + b",0.5" * 11 + b"\n",
+     "line 2: field larger than field limit (131072)"),
+], ids=["not-utf8", "oversized-field"])
+def test_train_refuses_a_csv_it_cannot_read_with_one_eformat_line(tmp_path, capsys,
+                                                                  content, fault):
+    csv_path = tmp_path / "seq.csv"
+    csv_path.write_bytes(content)
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "run")
+                           .replace("source = synth", f"source = csv\ncsv_path = {csv_path}"))
+    code, out, err = run_cli(capsys, "train", "--config", str(config_path))
+    assert (code, out, err) == (2, "", f"error: EFORMAT: {csv_path}: {fault}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_prune_caps_the_dataset_at_its_limit(tmp_path, capsys):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "run")
+                           .replace("n_samples = 80", "n_samples = 80\nlimit = 50"))
+    code, _, err = run_cli(capsys, "prune", "--config", str(config_path))
+    assert (code, err) == (0, "")
+    snapshot = json.loads((tmp_path / "run" / "run_config.json").read_text())
+    assert snapshot["dataset"]["shape"] == [50, 4, 3]
+
+
 def test_exp_home_resolves_relative_output(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EXP_HOME", str(tmp_path))
     config_path = tmp_path / "exp.ini"

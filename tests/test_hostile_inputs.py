@@ -1,6 +1,7 @@
 """Property tests: a damaged checkpoint or arbitrary matx bytes either
-analyze cleanly or fail with one coded error line, never a traceback,
-and a damaged trajectory is read by report and resume through one rule."""
+analyze cleanly or fail with one coded error line, never a traceback;
+a damaged trajectory is read by report and resume through one rule; and
+a damaged config, CSV or IDX input loads or raises one coded error."""
 
 import contextlib
 import functools
@@ -13,6 +14,8 @@ from unittest import mock
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from expanderprune.cli import main
+from expanderprune.config import load_config
+from expanderprune.data import load_csv_sequences, load_idx_images, save_csv_sequences, synth_task
 from expanderprune.formats import save_checkpoint
 from expanderprune.nets import LSTM, PruneMask, init_params
 from expanderprune.pruning import RunDirectory
@@ -243,3 +246,96 @@ def test_mutated_trajectory_lines_report_and_resume_by_one_rule(mutations):
         if code == 2:
             assert _read_dir(run) == before
         assert report_accepted == (resumed_from == [data] and data != b"")
+
+
+# Tokens worth inserting into text inputs: INI and CSV syntax, '%' (which
+# INI interpolation would read), bytes that are not UTF-8, a NUL, and a
+# field past the csv module's 131,072-byte limit.
+_INSERTS = [b"%", b"%(seed)s", b"[", b"]", b"[DEFAULT]\n", b"=", b":", b";", b",", b'"', b"\n",
+            b"\r", b"\x00", b"\xff", b"\xc2\xa0", b"nan", b"-1", b"9" * 30, b"7" * 140_000]
+
+_byte_mutations = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**16), st.just(0)),
+    st.tuples(st.just("insert"), st.integers(0, 2**16), st.sampled_from(_INSERTS)),
+    st.tuples(st.just("set"), st.integers(0, 2**16), st.sampled_from(FIELD_VALUES)),
+)
+
+
+def _mutate_bytes(data: bytes, mutation) -> bytes:
+    """``data`` with one byte flipped, cut short, a token inserted or a
+    big-endian u32 written at an offset (taken modulo its length + 1)."""
+    kind, offset, value = mutation
+    offset %= len(data) + 1
+    if kind == "insert":
+        return data[:offset] + value + data[offset:]
+    if kind == "truncate":
+        return data[:offset]
+    if kind == "set":
+        return data[:offset] + struct.pack(">I", value) + data[offset + 4:]
+    if offset == len(data):
+        return data
+    return data[:offset] + bytes([data[offset] ^ value]) + data[offset + 1:]
+
+
+def _assert_damaged_file_contract(load, base: bytes, damage) -> None:
+    """``load`` of ``base`` damaged by ``damage`` (a mutation list, or bytes
+    that replace it) returns, or raises a ValueError with a code other than
+    the catch-all EINVAL; anything else escapes and fails the test."""
+    data = damage if isinstance(damage, bytes) else functools.reduce(_mutate_bytes, damage, base)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        try:
+            load(path)
+        except ValueError as exc:
+            assert getattr(type(exc), "code", "EINVAL") != "EINVAL", repr(exc)
+
+
+_damage = st.one_of(st.lists(_byte_mutations, min_size=1, max_size=3), st.binary(max_size=64))
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(_damage)
+@example([("insert", 30, b"%")])
+@example([("insert", 30, b"\xff")])
+def test_damaged_config_loads_or_fails_with_one_coded_error(damage):
+    _assert_damaged_file_contract(load_config, _RUN_CONFIG.encode(), damage)
+
+
+@functools.cache
+def _base_csv() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "base.csv"
+        save_csv_sequences(synth_task("mean-threshold", 3, 2, 2, seed=0), path)
+        return path.read_bytes()
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(_damage)
+@example([("insert", 10, b"\xff")])
+@example([("insert", 10, b"7" * 140_000)])
+@example([("insert", 8, b"9" * 30)])  # a label past int64
+def test_damaged_csv_loads_or_fails_with_one_coded_error(damage):
+    _assert_damaged_file_contract(load_csv_sequences, _base_csv(), damage)
+
+
+# Three 2x3 IDX images and their labels.
+IDX_IMAGES = struct.pack(">IIII", 0x803, 3, 2, 3) + bytes(range(0, 180, 10))
+IDX_LABELS = struct.pack(">II", 0x801, 3) + bytes([0, 1, 2])
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(st.booleans(), _damage)
+@example(True, [("set", 4, 2**32 - 1)])
+@example(False, [("set", 4, 2)])
+def test_damaged_idx_pair_loads_or_fails_with_one_coded_error(damage_labels, damage):
+    # One file of a valid pair is damaged; the other is left whole.
+    with tempfile.TemporaryDirectory() as tmp:
+        whole = Path(tmp) / "whole"
+        whole.write_bytes(IDX_IMAGES if damage_labels else IDX_LABELS)
+
+        def load(path):
+            return load_idx_images(whole, path) if damage_labels else load_idx_images(path, whole)
+
+        _assert_damaged_file_contract(load, IDX_LABELS if damage_labels else IDX_IMAGES, damage)

@@ -7,9 +7,9 @@ import pytest
 from expanderprune import pruning
 from expanderprune.data import NoiseSpec, SequenceDataset, synth_task
 from expanderprune.errors import ConfigError, DomainError, FormatError
-from expanderprune.formats import dump_json_line
+from expanderprune.formats import dump_json_line, load_checkpoint
 from expanderprune.graphs import SpectralReport
-from expanderprune.nets import TrainConfig
+from expanderprune.nets import TrainConfig, apply_mask, init_params
 from expanderprune.pruning import (
     GAP_KINDS,
     PruneRecord,
@@ -208,6 +208,22 @@ def test_run_imp_single_identity_round_keeps_dense_accuracy():
     assert len(traj.records) == 2
     assert traj.records[1].q == {"w_xh": 1.0, "w_hh": 1.0}
     assert traj.records[1].test_accuracy == traj.records[0].test_accuracy
+
+
+def test_rewind_to_init_starts_every_round_from_the_masked_initial_weights(tmp_path):
+    # Without fine-tuning, round r holds exactly the initial weights under
+    # round r's mask; the mask itself is cut from the previous round's weights.
+    ds = synth_task("running-parity", 80, 4, 3, seed=6)
+    cfg = TrainConfig(seed=6, train_epochs=2, batch_size=20)
+    sched = PruneSchedule(rounds=3, final_fraction=0.1, finetune_epochs=0, rewind_to_init=True)
+    run_imp(cfg, sched, ds, cell_kind="rnn", hidden_size=6, out_dir=str(tmp_path))
+    initial = init_params(3, 6, 2, "rnn", seed=6)
+    for round_index in (1, 2, 3):
+        params, mask = load_checkpoint(tmp_path / f"round_{round_index:03d}.ckpt")
+        assert mask.kept_fraction("w_hh") == math.ceil(sched.keep_fraction(round_index) * 36) / 36
+        expected = apply_mask(initial, mask).tensors()
+        for name, tensor in params.tensors().items():
+            assert np.array_equal(tensor, expected[name]), (round_index, name)
 
 
 def test_run_imp_stop_policy_halts_early():
