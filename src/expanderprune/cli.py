@@ -75,17 +75,16 @@ def _print_json(obj) -> None:
     print(json.dumps(sanitize_json(obj), indent=2, sort_keys=True))
 
 
-def _graph_reports(weights, mask, modes, label):
-    return [{"layer": label, **asdict(spectral_gaps(build_bipartite(weights, mask, mode)))}
-            for mode in modes]
-
-
-def _gate_reports(weights, mask, modes, label):
-    """_graph_reports of one LSTM gate block, with an EDEGENERATE entry in
-    place of each report of a block that has no edges."""
-    graphs = [build_bipartite(weights, mask, mode) for mode in modes]
-    return [{"layer": label, "mode": g.mode, "error": DegenerateGraphError.code} if g.degenerate
-            else {"layer": label, **asdict(spectral_gaps(g))} for g in graphs]
+def _block_reports(weights, mask, modes, label):
+    """Each mode's report of one block, or an EDEGENERATE entry in place of
+    each report of a block that has no edges.  One mode's graph is built
+    at a time, so one copy of the block is alive beside the weights."""
+    reports = []
+    for mode in modes:
+        g = build_bipartite(weights, mask, mode)
+        reports.append({"layer": label, "mode": mode, "error": DegenerateGraphError.code}
+                       if g.degenerate else {"layer": label, **asdict(spectral_gaps(g))})
+    return reports
 
 
 def cmd_analyze(args) -> int:
@@ -96,14 +95,16 @@ def cmd_analyze(args) -> int:
         params, mask = load_checkpoint(path)
         for layer in _LAYER_FLAGS[args.layer]:
             weights, keep = getattr(params, layer), getattr(mask, layer)
-            reports += _graph_reports(weights, keep, modes, layer)
+            reports += _block_reports(weights, keep, modes, layer)
             if args.per_gate and params.cell_kind == LSTM:
                 H = params.hidden_size
                 for g_index, gate in enumerate(GATES):
                     rows = slice(g_index * H, (g_index + 1) * H)
-                    reports += _gate_reports(weights[rows], keep[rows], modes, f"{layer}[{gate}]")
+                    reports += _block_reports(weights[rows], keep[rows], modes, f"{layer}[{gate}]")
     else:
-        reports += _graph_reports(load_matrix_text(path), None, modes, "matrix")
+        reports += _block_reports(load_matrix_text(path), None, modes, "matrix")
+    if all("error" in report for report in reports):
+        raise DegenerateGraphError("graph has no edges")
     _print_json({"source": path, "reports": reports})
     return 0
 
@@ -168,8 +169,8 @@ def cmd_train(args) -> int:
     train_ds, test_ds = split_dataset(dataset, cfg.train.seed, cfg.noise)
     initial = init_params(dataset.input_size, cfg.hidden_size, dataset.class_count,
                           cfg.cell_kind, seed=cfg.train.seed)
-    params, mask = train_dense(cfg.train, initial, train_ds)
     os.makedirs(cfg.output_dir, exist_ok=True)
+    params, mask = train_dense(cfg.train, initial, train_ds)
     ckpt_path = os.path.join(cfg.output_dir, "dense.ckpt")
     save_checkpoint(ckpt_path, params, mask)
     _print_json({
@@ -263,6 +264,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: ENOENT: {exc.filename}: no such file", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        code = errno.errorcode.get(exc.errno, "EIO")
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {code}: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         code = getattr(type(exc), "code", "EINVAL")

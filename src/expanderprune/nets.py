@@ -60,11 +60,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise DomainError("learning_rate must be > 0")
-        for name in ("train_epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1")
+        """DomainError listing every value that could only train to NaN or
+        not at all (the comparisons are False for NaN, so NaN is refused)."""
+        wrong = [f"{name} must be finite and > 0" for name in ("learning_rate", "adam_eps")
+                 if not 0 < getattr(self, name) < math.inf]
+        wrong += [f"{name} must be in [0, 1)" for name in ("beta1", "beta2")
+                  if not 0 <= getattr(self, name) < 1]
+        if math.isnan(self.clip_norm):
+            wrong.append("clip_norm must not be NaN (<= 0 turns clipping off)")
+        wrong += [f"{name} must be >= 1" for name in ("train_epochs", "batch_size")
+                  if getattr(self, name) < 1]
+        if wrong:
+            raise DomainError("; ".join(wrong))
 
 
 @dataclass

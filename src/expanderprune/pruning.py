@@ -16,9 +16,12 @@ library and CLI callers alike.
 
 from __future__ import annotations
 
+import errno
+import fcntl
 import hashlib
 import math
 import os
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -253,19 +256,6 @@ def _check_run_record(record: PruneRecord, path, line_no: int) -> PruneRecord:
     return record
 
 
-def save_trajectory(trajectory: PruneTrajectory, path) -> None:
-    """One _record_line per record."""
-    with open(path, "w", newline="") as f:
-        f.writelines(map(_record_line, trajectory.records))
-
-
-def load_trajectory(path) -> PruneTrajectory:
-    """Every record of a trajectory file, whichever layers each holds."""
-    with open(path, "rb") as f:
-        return PruneTrajectory(records=[_parse_record(line, path, line_no)
-                                        for line_no, line in enumerate(f, start=1) if line.strip()])
-
-
 def _run_lines(path):
     """The rule for a run's trajectory: line N ends in a newline and holds
     round N-1's run record (FormatError if it holds no run record).
@@ -292,34 +282,65 @@ def load_run_trajectory(path) -> PruneTrajectory:
 
 
 class RunDirectory:
-    """The files of one resumable IMP run.
+    """The files of one resumable IMP run, held by one writer at a time.
 
     ``run_config.json`` is the run's snapshot (one canonical JSON line),
     ``round_NNN.ckpt`` the model after round NNN, and ``trajectory.jsonl``
     one line per round.  A run killed at any byte leaves a directory that
     resumes to the bytes of an uninterrupted run: the snapshot is written
     to a temp file and moved into place, each checkpoint is written before
-    its line, and a line counts only once it ends in a newline.
+    its line, and a line counts only once it ends in a newline.  The
+    writer holds an exclusive flock on the empty ``run.lock`` until close
+    (or the end of a ``with`` block); the kernel drops it if the process
+    dies.
     """
 
     def __init__(self, path, snapshot: dict):
-        """Make ``path`` and check its snapshot against ``snapshot``, which
-        a directory without one gets.  A differing snapshot raises
-        ConfigError before anything is written."""
+        """Make ``path``, check its snapshot against ``snapshot``, which a
+        directory without one gets, and take the lock.  A differing
+        snapshot raises ConfigError before any file is made, and a
+        directory another writer holds raises OSError(EBUSY) before
+        anything is written."""
         os.makedirs(path, exist_ok=True)
         self._path = path
         self._trajectory_path = os.path.join(path, "trajectory.jsonl")
-        config_path = os.path.join(path, "run_config.json")
-        text = dump_json_line(snapshot)
-        if os.path.exists(config_path):
-            with open(config_path) as f:
-                if f.read().strip() != text:
-                    raise ConfigError(f"{config_path}: existing run was produced by a different configuration")
-        else:
-            temp_path = config_path + ".tmp"
-            with open(temp_path, "w", newline="") as f:
-                f.write(text + "\n")
-            os.replace(temp_path, config_path)
+        self._config_path = os.path.join(path, "run_config.json")
+        self._snapshot = dump_json_line(snapshot)
+        self._has_snapshot()  # a different run is refused before run.lock is made
+        self._lock = os.open(os.path.join(path, "run.lock"), os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(self._lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if not self._has_snapshot():  # checked again: the last holder may have written one
+                temp_path = self._config_path + ".tmp"
+                with open(temp_path, "w", newline="") as f:
+                    f.write(self._snapshot + "\n")
+                os.replace(temp_path, self._config_path)
+        except BlockingIOError:
+            self.close()
+            raise OSError(errno.EBUSY, "run directory is held by another writer", path) from None
+        except BaseException:
+            self.close()
+            raise
+
+    def _has_snapshot(self) -> bool:
+        """Whether run_config.json exists; ConfigError if it differs from ours."""
+        if not os.path.exists(self._config_path):
+            return False
+        with open(self._config_path) as f:
+            if f.read().strip() != self._snapshot:
+                raise ConfigError(f"{self._config_path}: existing run was produced by "
+                                  "a different configuration")
+        return True
+
+    def close(self) -> None:
+        """Release the directory (closing the descriptor drops the flock)."""
+        os.close(self._lock)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
     def _checkpoint(self, round_index) -> str:
         return os.path.join(self._path, f"round_{round_index:03d}.ckpt")
@@ -404,7 +425,9 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
     uninterrupted run byte for byte.  The snapshot records the model,
     training config, schedule, policy, noise and a sha256 of the dataset
     (not the output path); a rerun whose snapshot differs raises
-    ConfigError before anything is trained or written.
+    ConfigError before anything is trained or written.  The run holds the
+    directory until it returns or raises, and a second writer meanwhile
+    gets OSError(EBUSY).
     """
     for layer, kind in policy:
         _check_layer(layer)
@@ -413,48 +436,49 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
 
     run_dir = None
     trajectory = PruneTrajectory()
-    if out_dir:
-        noise_fields = asdict(noise or NoiseSpec())
-        # the target keeps its own top-level key, as in earlier snapshots
-        noise_apply_to = noise_fields.pop("apply_to")
-        run_dir = RunDirectory(out_dir, {
-            "cell_kind": cell_kind,
-            "hidden_size": hidden_size,
-            "test_fraction": TEST_FRACTION,
-            "train": asdict(config),
-            "schedule": asdict(schedule),
-            "policy": [list(pair) for pair in policy],
-            "noise": noise_fields if noise is not None else None,
-            "noise_apply_to": noise_apply_to,
-            "dataset": _dataset_digest(dataset),
-        })
-        trajectory.records, params, mask = run_dir.resume()
-    initial = init_params(dataset.input_size, hidden_size, dataset.class_count,
-                          cell_kind, seed=config.seed)
+    with ExitStack() as held:
+        if out_dir:
+            noise_fields = asdict(noise or NoiseSpec())
+            # the target keeps its own top-level key, as in earlier snapshots
+            noise_apply_to = noise_fields.pop("apply_to")
+            run_dir = held.enter_context(RunDirectory(out_dir, {
+                "cell_kind": cell_kind,
+                "hidden_size": hidden_size,
+                "test_fraction": TEST_FRACTION,
+                "train": asdict(config),
+                "schedule": asdict(schedule),
+                "policy": [list(pair) for pair in policy],
+                "noise": noise_fields if noise is not None else None,
+                "noise_apply_to": noise_apply_to,
+                "dataset": _dataset_digest(dataset),
+            }))
+            trajectory.records, params, mask = run_dir.resume()
+        initial = init_params(dataset.input_size, hidden_size, dataset.class_count,
+                              cell_kind, seed=config.seed)
 
-    for round_index in range(len(trajectory.records), schedule.rounds + 1):
-        if stop_criterion(trajectory, policy):
-            break
-        if round_index == 0:
-            params, mask = train_dense(config, initial, train_ds)
-        else:
-            q_t = schedule.keep_fraction(round_index)
-            new_mask = PruneMask(
-                magnitude_prune(params.w_xh, mask.w_xh, q_t),
-                magnitude_prune(params.w_hh, mask.w_hh, q_t),
-            )
-            changed = (new_mask.w_xh != mask.w_xh).any() or (new_mask.w_hh != mask.w_hh).any()
-            mask = new_mask
-            if schedule.rewind_to_init:
-                params = initial.copy()
-            params = apply_mask(params, mask)
-            if changed and schedule.finetune_epochs > 0:
-                params = train(params, mask, train_ds.sequences, train_ds.labels,
-                               config, schedule.finetune_epochs,
-                               stream=(_STREAM_FINETUNE, round_index))
-        previous = trajectory.records[-1] if trajectory.records else None
-        record = _make_record(round_index, params, mask, test_ds, previous)
-        if run_dir is not None:
-            run_dir.append(record, params, mask)
-        trajectory.records.append(record)
+        for round_index in range(len(trajectory.records), schedule.rounds + 1):
+            if stop_criterion(trajectory, policy):
+                break
+            if round_index == 0:
+                params, mask = train_dense(config, initial, train_ds)
+            else:
+                q_t = schedule.keep_fraction(round_index)
+                new_mask = PruneMask(
+                    magnitude_prune(params.w_xh, mask.w_xh, q_t),
+                    magnitude_prune(params.w_hh, mask.w_hh, q_t),
+                )
+                changed = (new_mask.w_xh != mask.w_xh).any() or (new_mask.w_hh != mask.w_hh).any()
+                mask = new_mask
+                if schedule.rewind_to_init:
+                    params = initial.copy()
+                params = apply_mask(params, mask)
+                if changed and schedule.finetune_epochs > 0:
+                    params = train(params, mask, train_ds.sequences, train_ds.labels,
+                                   config, schedule.finetune_epochs,
+                                   stream=(_STREAM_FINETUNE, round_index))
+            previous = trajectory.records[-1] if trajectory.records else None
+            record = _make_record(round_index, params, mask, test_ds, previous)
+            if run_dir is not None:
+                run_dir.append(record, params, mask)
+            trajectory.records.append(record)
     return trajectory

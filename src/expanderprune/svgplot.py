@@ -88,13 +88,8 @@ def render_trajectory(trajectory: PruneTrajectory, svg_path) -> str:
     if not trajectory.records:
         raise DomainError("trajectory is empty")
     csv_path = os.path.splitext(svg_path)[0] + ".csv"
-
-    header, rows = trajectory_table(trajectory)
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    if csv_path == svg_path:
+        raise DomainError(f"{svg_path}: the figure would overwrite its own CSV table")
 
     height = _MARGIN_T + len(LAYERS) * (_PANEL_H + _MARGIN_B) + 8
     parts = [
@@ -105,8 +100,16 @@ def render_trajectory(trajectory: PruneTrajectory, svg_path) -> str:
         top = _MARGIN_T + panel_index * (_PANEL_H + _MARGIN_B)
         parts.append(_render_panel(trajectory, layer, top))
     parts.append("</svg>\n")
+    # The SVG goes first, so an SVG path that cannot be written leaves no CSV.
     with open(svg_path, "w") as f:
         f.write("".join(parts))
+
+    header, rows = trajectory_table(trajectory)
+    with open(csv_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return csv_path
 
 

@@ -3,16 +3,22 @@ import math
 import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from expanderprune.cli import main
-from expanderprune.formats import dump_json_line, save_checkpoint, save_matrix_text
+from expanderprune.formats import dump_json_line, load_checkpoint, save_checkpoint, save_matrix_text
 from expanderprune.nets import LSTM, PruneMask, init_params
-from expanderprune.pruning import RunDirectory, load_trajectory
+from expanderprune.pruning import RunDirectory
 from expanderprune.svgplot import render_trajectory
+from test_data import write_idx_fixture
 from test_pruning import fake_record, tiny_run, trajectory_from_gaps
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CONFIG = """
 [experiment]
@@ -134,6 +140,25 @@ def test_analyze_per_gate_marks_an_edgeless_gate_block(tmp_path, capsys):
     _, gates, _ = run_cli(capsys, "analyze", str(ckpt), "--layer", "wxh", "--per-gate")
     assert reports[:10] == json.loads(gates)["reports"]
     assert all("lambda1" in r for r in reports[10:14] + reports[16:])
+
+
+def test_analyze_reports_every_block_beside_an_edgeless_layer(tmp_path, capsys):
+    params = init_params(3, 4, 2, LSTM, seed=1)
+    mask = PruneMask.full(params)
+    mask.w_xh[:] = False  # W_xh and each of its gate blocks keep no edge
+    ckpt = tmp_path / "lstm.ckpt"
+    save_checkpoint(ckpt, params, mask)
+    code, out, err = run_cli(capsys, "analyze", str(ckpt), "--per-gate")
+    assert (code, err) == (0, "")
+    reports = json.loads(out)["reports"]
+    assert reports[:10] == [{"layer": f"w_xh{gate}", "mode": mode, "error": "EDEGENERATE"}
+                            for gate in ("", "[i]", "[f]", "[g]", "[o]")
+                            for mode in ("weighted", "unweighted")]
+    _, whh, _ = run_cli(capsys, "analyze", str(ckpt), "--layer", "whh", "--per-gate")
+    assert reports[10:] == json.loads(whh)["reports"] and len(reports) == 20
+    # With no block left that has an edge, there is nothing to report.
+    code, out, err = run_cli(capsys, "analyze", str(ckpt), "--layer", "wxh", "--per-gate")
+    assert (code, out, err) == (2, "", "error: EDEGENERATE: graph has no edges\n")
 
 
 def _checkpoint_with_empty_bias(path, bias):
@@ -354,6 +379,91 @@ def test_error_lines_are_exact(tmp_path, capsys, monkeypatch):
     assert (code, err) == (2, f"error: EDOMAIN: {empty}: trajectory is empty\n")
 
 
+@pytest.mark.parametrize("command", ["prune", "train"])
+def test_an_output_directory_that_is_a_file_fails_with_one_coded_line(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "run"))
+    code, out, err = run_cli(capsys, command, "--config", str(config_path), "--out", str(taken))
+    assert (code, out, err) == (2, "", f"error: EEXIST: {taken}: File exists\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "taken"]
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("fig", "EISDIR: {figure}: Is a directory"),
+    ("fig.csv", "EDOMAIN: {figure}: the figure would overwrite its own CSV table"),
+], ids=["directory", "csv-extension"])
+def test_report_refuses_an_svg_path_it_cannot_use_and_writes_nothing(tmp_path, capsys,
+                                                                     name, fault):
+    tiny_run(tmp_path / "run")
+    figure = tmp_path / name
+    if name == "fig":
+        figure.mkdir()  # the refused path is a directory
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run_cli(capsys, "report", str(tmp_path / "run" / "trajectory.jsonl"),
+                             "--out", str(figure))
+    assert (code, out, err) == (2, "", f"error: {fault.format(figure=figure)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_a_second_writer_is_refused_while_the_first_holds_the_directory(tmp_path, capsys):
+    config_path = tmp_path / "exp.ini"
+    run = tmp_path / "run"
+    config_path.write_text(CONFIG.format(out=run))
+    assert run_cli(capsys, "prune", "--config", str(config_path))[0] == 0
+    full = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert full["run.lock"] == b""
+    # Cut the run back to round 0, so a writer that got in would train and write.
+    (run / "trajectory.jsonl").write_bytes(full["trajectory.jsonl"].splitlines(keepends=True)[0])
+    for round_index in (1, 2, 3):
+        (run / f"round_{round_index:03d}.ckpt").unlink()
+    held = {p.name: p.read_bytes() for p in run.iterdir()}
+    refusal = (2, "", f"error: EBUSY: {run}: run directory is held by another writer\n")
+    with RunDirectory(str(run), json.loads(full["run_config.json"])):
+        assert run_cli(capsys, "prune", "--config", str(config_path)) == refusal
+        other = subprocess.run([sys.executable, "-m", "expanderprune.cli", "prune",
+                                "--config", str(config_path)], capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert (other.returncode, other.stdout, other.stderr) == refusal
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == held
+    assert run_cli(capsys, "prune", "--config", str(config_path))[0] == 0
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == full
+
+
+@pytest.mark.parametrize("old, new, fault", [
+    ("learning_rate = 0.003", "learning_rate = nan", "learning_rate must be finite and > 0"),
+    ("learning_rate = 0.003", "learning_rate = inf", "learning_rate must be finite and > 0"),
+    ("batch_size = 20", "batch_size = 20\nbeta1 = 1.5", "beta1 must be in [0, 1)"),
+    ("batch_size = 20", "batch_size = 20\nbeta2 = -1", "beta2 must be in [0, 1)"),
+    ("batch_size = 20", "batch_size = 20\nadam_eps = 0", "adam_eps must be finite and > 0"),
+    ("batch_size = 20", "batch_size = 20\nclip_norm = nan",
+     "clip_norm must not be NaN (<= 0 turns clipping off)"),
+    ("batch_size = 20", "batch_size = 0\nbeta1 = 1\nadam_eps = nan",
+     "adam_eps must be finite and > 0; beta1 must be in [0, 1); batch_size must be >= 1"),
+], ids=["learning-rate-nan", "learning-rate-inf", "beta1", "beta2", "adam-eps", "clip-norm-nan",
+        "several"])
+def test_prune_refuses_training_values_that_can_only_train_to_nan(tmp_path, capsys,
+                                                                   old, new, fault):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "run").replace(old, new))
+    code, out, err = run_cli(capsys, "prune", "--config", str(config_path))
+    assert (code, out, err) == (2, "", f"error: ECONFIG: train: {fault}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_reads_an_idx_pair(tmp_path, capsys):
+    images = np.arange(20 * 4 * 3).reshape(20, 4, 3) % 256
+    images_path, labels_path = write_idx_fixture(tmp_path, images, np.arange(20) % 2)
+    config_path = tmp_path / "exp.ini"
+    source = f"source = idx\nimages_path = {images_path}\nlabels_path = {labels_path}"
+    config_path.write_text(CONFIG.format(out=tmp_path / "run").replace("source = synth", source))
+    code, out, err = run_cli(capsys, "train", "--config", str(config_path))
+    assert (code, err) == (0, "")
+    params, _ = load_checkpoint(json.loads(out)["checkpoint"])
+    assert (params.input_size, params.class_count) == (3, 2)
+
+
 def test_prune_invalid_config_lists_fields(tmp_path, capsys):
     config_path = tmp_path / "exp.ini"
     config_path.write_text("[experiment]\ncell_kind = gru\n\n[data]\nsource = nowhere\n")
@@ -461,7 +571,8 @@ def test_report_refuses_rounds_out_of_order(interleaved_run, capsys):
 
 def test_resume_keeps_the_rounds_in_order_and_reproduces_the_run(interleaved_run):
     run, full = interleaved_run
-    records, _, _ = RunDirectory(str(run), json.loads(full["run_config.json"])).resume()
+    with RunDirectory(str(run), json.loads(full["run_config.json"])) as run_dir:
+        records, _, _ = run_dir.resume()
     assert [r.round for r in records] == [0, 1, 2]
     lines = full["trajectory.jsonl"].splitlines(keepends=True)
     assert (run / "trajectory.jsonl").read_bytes() == b"".join(lines[:3])
