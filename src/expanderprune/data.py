@@ -134,16 +134,6 @@ def add_noise(ds: SequenceDataset, spec: NoiseSpec) -> SequenceDataset:
     return SequenceDataset(out, ds.labels.copy(), ds.class_count)
 
 
-def running_parity_label(sequence: np.ndarray) -> int:
-    """Parity of the count of steps whose first feature exceeds 0.5."""
-    return int(np.count_nonzero(sequence[:, 0] > 0.5) % 2)
-
-
-def mean_threshold_label(sequence: np.ndarray) -> int:
-    """1 iff the mean over all features of all steps exceeds 0.5."""
-    return int(sequence.mean() > 0.5)
-
-
 def synth_task(kind: str, n_samples: int, k: int, input_size: int, seed: int = 0) -> SequenceDataset:
     """Balanced two-class synthetic sequence tasks.
 
@@ -245,12 +235,3 @@ def load_csv_sequences(path) -> SequenceDataset:
     except (DomainError, ShapeError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
-
-def save_csv_sequences(ds: SequenceDataset, path) -> None:
-    """Write a dataset in the layout load_csv_sequences reads."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([ds.k, ds.input_size, ds.class_count])
-        flat = ds.sequences.reshape(ds.n, ds.k * ds.input_size)
-        for label, row in zip(ds.labels, flat):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])

@@ -172,7 +172,7 @@ def spectral_gaps(g: BipartiteGraph) -> SpectralReport:
     """Full spectral report of a layer graph (lambda1 = sigma1(B) etc.)."""
     if g.degenerate:
         raise DegenerateGraphError("graph has no edges")
-    s1, s2, _ = top_two_singular_values(g.biadjacency)
+    s1, s2 = top_two_singular_values(g.biadjacency)
     stats = degree_stats(g)
     alpha2 = normalized_laplacian_alpha2(g)
     return _assemble_report(g.mode, s1, s2, stats.d_avg, alpha2, g.biadjacency.shape)

@@ -9,8 +9,6 @@ identical output bits.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DomainError, ShapeError
@@ -33,16 +31,6 @@ def check_symmetric(M: np.ndarray, atol: float = SYMMETRY_ATOL) -> None:
         raise ShapeError(f"matrix is not square: shape {M.shape}")
     if M.shape[0] and np.max(np.abs(M - M.T)) > atol:
         raise ShapeError(f"matrix is not symmetric within {atol}")
-
-
-def bipartite_adjacency(B: np.ndarray) -> np.ndarray:
-    """Full symmetric adjacency [[0, B], [B^T, 0]] of a biadjacency block."""
-    B = np.asarray(B, dtype=np.float64)
-    m, n = B.shape
-    A = np.zeros((m + n, m + n))
-    A[:m, m:] = B
-    A[m:, :m] = B.T
-    return A
 
 
 def bipartite_spectrum(B) -> np.ndarray:
@@ -74,24 +62,16 @@ def sym_eigenvalues(M) -> np.ndarray:
     return eigs
 
 
-class TopSingularValues(NamedTuple):
-    sigma1: float
-    sigma2: float
-    degenerate: bool
-
-
-def top_two_singular_values(B) -> TopSingularValues:
+def top_two_singular_values(B) -> tuple[float, float]:
     """Two largest singular values of a non-negative matrix, from a dense SVD.
 
-    A matrix with a single row or column has sigma2 = 0.  An all-zero
-    matrix yields (0, 0) with the degenerate flag set.
+    A matrix with a single row or column has sigma2 = 0, and an all-zero
+    matrix yields (0, 0).
     """
     B = as_dense_matrix(B)
     if np.min(B) < 0:
         raise DomainError("biadjacency entries must be non-negative")
-    if not B.any():
-        return TopSingularValues(0.0, 0.0, True)
     svals = np.linalg.svd(B, compute_uv=False)
     s1 = float(svals[0])
     s2 = float(svals[1]) if svals.size > 1 else 0.0
-    return TopSingularValues(s1, s2, False)
+    return s1, s2

@@ -139,9 +139,9 @@ def magnitude_prune(W: np.ndarray, mask: np.ndarray, q: float) -> np.ndarray:
     if mask.shape != W.shape:
         raise ShapeError(f"mask shape {mask.shape} != weight shape {W.shape}")
     target = math.ceil(q * W.size)
-    index = np.flatnonzero(mask)  # row-major, so in (row, col) order
-    if target >= index.size:
+    if target >= np.count_nonzero(mask):
         return mask.copy()
+    index = np.flatnonzero(mask)  # row-major, so in (row, col) order
     magnitudes = np.abs(W.take(index))
     magnitudes[np.isnan(magnitudes)] = -1.0
     cut = np.partition(magnitudes, index.size - target)[index.size - target]

@@ -58,6 +58,8 @@ class UnrolledSpec:
         object.__setattr__(self, "B", B)
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
+        if self.dim > _UNROLLED_DIM_CAP:
+            raise SizeError(f"unrolled dimension {self.dim} exceeds cap {_UNROLLED_DIM_CAP}")
 
     @property
     def m(self) -> int:
@@ -68,14 +70,8 @@ class UnrolledSpec:
         return (self.k + 1) * self.m
 
 
-def _check_dim(spec: UnrolledSpec) -> None:
-    if spec.dim > _UNROLLED_DIM_CAP:
-        raise SizeError(f"unrolled dimension {spec.dim} exceeds cap {_UNROLLED_DIM_CAP}")
-
-
 def build_unrolled(spec: UnrolledSpec) -> np.ndarray:
     """Dense (k+1)m x (k+1)m unrolled adjacency; symmetric by construction."""
-    _check_dim(spec)
     m, k = spec.m, spec.k
     A = np.zeros((spec.dim, spec.dim))
     for i in range(k):
@@ -91,7 +87,6 @@ def parity_block(spec: UnrolledSpec) -> np.ndarray:
     from copy i to copy i+1 puts B (i even) or B^T (i odd) at row block
     (i+1)//2, column block i//2.  A is a permutation of [[0, C], [C^T, 0]].
     """
-    _check_dim(spec)
     m, k = spec.m, spec.k
     C = np.zeros(((k // 2 + 1) * m, (k + 1) // 2 * m))
     for i in range(k):
@@ -131,6 +126,6 @@ def unrolled_gap_report(spec: UnrolledSpec, mode: str = WEIGHTED) -> SpectralRep
     g = build_bipartite(parity_block(spec), mode=mode)
     if g.degenerate:
         raise DegenerateGraphError("unrolled graph has no edges")
-    lambda1, lambda2, _ = top_two_singular_values(g.biadjacency)
+    lambda1, lambda2 = top_two_singular_values(g.biadjacency)
     return _assemble_report(mode, lambda1, lambda2, degree_stats(g).d_avg,
                             bipartite_alpha2(g.biadjacency), g.biadjacency.shape)

@@ -2,9 +2,13 @@
 
 Nothing here calls numpy.linalg: the QR eigensolver is built from raw
 Householder reflections so it shares no code path with the library it
-checks.
+checks.  The module also holds the reference builders the tests compare
+the library against (the full bipartite adjacency and the synthetic
+tasks' label rules) and the writer of CSV fixtures in the layout
+``load_csv_sequences`` reads.
 """
 
+import csv
 import itertools
 import math
 from dataclasses import replace
@@ -259,3 +263,33 @@ def magnitude_prune_reference(W, mask, q):
     out = np.zeros_like(mask)
     out[rows[winners], cols[winners]] = True
     return out
+
+
+def bipartite_adjacency(B):
+    """Full symmetric adjacency [[0, B], [B^T, 0]] of a biadjacency block."""
+    B = np.asarray(B, dtype=np.float64)
+    m, n = B.shape
+    A = np.zeros((m + n, m + n))
+    A[:m, m:] = B
+    A[m:, :m] = B.T
+    return A
+
+
+def running_parity_label(sequence):
+    """Parity of the count of steps whose first feature exceeds 0.5."""
+    return int(np.count_nonzero(sequence[:, 0] > 0.5) % 2)
+
+
+def mean_threshold_label(sequence):
+    """1 iff the mean over all features of all steps exceeds 0.5."""
+    return int(sequence.mean() > 0.5)
+
+
+def save_csv_sequences(ds, path):
+    """Write a dataset in the layout load_csv_sequences reads."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow([ds.k, ds.input_size, ds.class_count])
+        flat = ds.sequences.reshape(ds.n, ds.k * ds.input_size)
+        for label, row in zip(ds.labels, flat):
+            writer.writerow([int(label)] + [repr(float(v)) for v in row])

@@ -23,7 +23,7 @@ from expanderprune.graphs import (
     spectral_gaps,
     vertex_cheeger_bruteforce,
 )
-from expanderprune.linalg import bipartite_adjacency, sym_eigenvalues, top_two_singular_values
+from expanderprune.linalg import sym_eigenvalues, top_two_singular_values
 from expanderprune.nets import LSTM, PruneMask, RNN, TrainConfig, apply_mask, init_params, loss_and_grads
 from expanderprune.pruning import (
     PruneSchedule,
@@ -33,7 +33,7 @@ from expanderprune.pruning import (
 )
 from expanderprune.unrolled import UnrolledSpec, build_unrolled, closed_form_spectrum
 from graphgen import random_connected_graph, random_regular_bipartite
-from oracles import central_difference_grads
+from oracles import bipartite_adjacency, central_difference_grads
 
 # Desk-scale IMP configuration for criteria 8 and 9.  LSTM because the
 # plain RNN does not learn 16-step running parity at this size under
@@ -133,7 +133,7 @@ def test_criterion_5_bipartite_spectral_symmetry():
         expected = np.concatenate([svals, np.zeros(m + n - 2 * svals.size), -svals[::-1]])
         worst = max(worst, float(np.max(np.abs(np.sort(eigs) - np.sort(expected)))))
         if B.any():
-            s1, s2, _ = top_two_singular_values(B)
+            s1, s2 = top_two_singular_values(B)
             worst = max(worst, abs(s1 - svals[0]))
             if svals.size > 1:
                 worst = max(worst, abs(s2 - svals[1]))

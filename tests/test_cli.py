@@ -158,7 +158,7 @@ def test_analyze_reports_every_block_beside_an_edgeless_layer(tmp_path, capsys):
     assert reports[10:] == json.loads(whh)["reports"] and len(reports) == 20
     # With no block left that has an edge, there is nothing to report.
     code, out, err = run_cli(capsys, "analyze", str(ckpt), "--layer", "wxh", "--per-gate")
-    assert (code, out, err) == (2, "", "error: EDEGENERATE: graph has no edges\n")
+    assert (code, out, err) == (2, "", f"error: EDEGENERATE: {ckpt}: graph has no edges\n")
 
 
 def _checkpoint_with_empty_bias(path, bias):
@@ -233,7 +233,7 @@ def test_analyze_and_unroll_refuse_an_edgeless_block_with_one_code(tmp_path, cap
     for argv in (["analyze", str(path)], ["unroll", str(path), "--k", "2"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: EDEGENERATE: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: EDEGENERATE: {path}: ") and err.count("\n") == 1, err
 
 
 def test_prune_train_report_end_to_end(tmp_path, capsys):
@@ -371,7 +371,7 @@ def test_error_lines_are_exact(tmp_path, capsys, monkeypatch):
     save_matrix_text(np.array([[0.0, 1.0], [0.5, 0.0]]), block)
     code, _, err = run_cli(capsys, "unroll", str(block), "--k", "2", "--closed-form")
     assert (code, err) == (2, f"error: EDOMAIN: {block}: closed-form spectrum "
-                              "requires a symmetric matrix\n")
+                              "requires a symmetric block\n")
 
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -10,13 +10,11 @@ from expanderprune.data import (
     add_noise,
     load_csv_sequences,
     load_idx_images,
-    mean_threshold_label,
-    running_parity_label,
-    save_csv_sequences,
     synth_task,
     train_test_split,
 )
 from expanderprune.errors import DomainError, FormatError
+from oracles import mean_threshold_label, running_parity_label, save_csv_sequences
 
 
 def write_idx_fixture(tmp_path, images, labels):

@@ -19,9 +19,9 @@ from expanderprune.graphs import (
     spectral_gaps,
     vertex_cheeger_bruteforce,
 )
-from expanderprune.linalg import bipartite_adjacency, bipartite_spectrum
+from expanderprune.linalg import bipartite_spectrum
 from graphgen import random_connected_graph
-from oracles import reference_cheeger_constants
+from oracles import bipartite_adjacency, reference_cheeger_constants
 
 
 def cycle_adjacency(n):

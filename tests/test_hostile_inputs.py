@@ -15,10 +15,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from expanderprune.cli import main
 from expanderprune.config import load_config
-from expanderprune.data import load_csv_sequences, load_idx_images, save_csv_sequences, synth_task
+from expanderprune.data import load_csv_sequences, load_idx_images, synth_task
 from expanderprune.formats import save_checkpoint
 from expanderprune.nets import LSTM, PruneMask, init_params
 from expanderprune.pruning import RunDirectory
+from oracles import save_csv_sequences
 
 _PARAMS = init_params(3, 4, 2, LSTM, seed=0)
 

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from expanderprune.errors import DomainError, ShapeError
-from expanderprune.linalg import (
-    bipartite_adjacency,
-    bipartite_spectrum,
-    sym_eigenvalues,
-    top_two_singular_values,
-)
-from oracles import qr_eigenvalues
+from expanderprune.linalg import bipartite_spectrum, sym_eigenvalues, top_two_singular_values
+from oracles import bipartite_adjacency, qr_eigenvalues
 
 # qr_eigenvalues output for the seed-88 symmetric 8x8 below, frozen.
 FROZEN_8X8_SPECTRUM = [
@@ -77,20 +72,17 @@ def test_sym_eigenvalues_deterministic():
 
 
 def test_identity_singular_values():
-    s1, s2, degenerate = top_two_singular_values(np.eye(2))
-    assert (s1, s2, degenerate) == (1.0, 1.0, False)
+    assert top_two_singular_values(np.eye(2)) == (1.0, 1.0)
 
 
 def test_rank_one_all_ones():
-    s1, s2, _ = top_two_singular_values([[1, 1], [1, 1]])
+    s1, s2 = top_two_singular_values([[1, 1], [1, 1]])
     assert abs(s1 - 2.0) < 1e-12
     assert abs(s2) < 1e-12
 
 
 def test_all_zero_is_degenerate():
-    s1, s2, degenerate = top_two_singular_values(np.zeros((3, 5)))
-    assert (s1, s2) == (0.0, 0.0)
-    assert degenerate
+    assert top_two_singular_values(np.zeros((3, 5))) == (0.0, 0.0)
 
 
 def test_negative_entries_rejected():
@@ -101,7 +93,7 @@ def test_negative_entries_rejected():
 def test_random_sparse_50x50_matches_dense_eigensolver():
     rng = np.random.default_rng(5)
     B = rng.random((50, 50)) * (rng.random((50, 50)) < 0.1)
-    s1, s2, _ = top_two_singular_values(B)
+    s1, s2 = top_two_singular_values(B)
     eigs = sym_eigenvalues(bipartite_adjacency(B))
     assert abs(s1 - eigs[0]) < 1e-7
     assert abs(s2 - eigs[1]) < 1e-7
@@ -114,7 +106,7 @@ def test_iterative_path_matches_dense_svd():
         B = rng.random((80, 120)) * (rng.random((80, 120)) < 0.05)
         if not B.any():
             continue
-        s1, s2, _ = top_two_singular_values(B)
+        s1, s2 = top_two_singular_values(B)
         ref = np.linalg.svd(B, compute_uv=False)
         assert abs(s1 - ref[0]) <= 1e-8 * max(ref[0], 1.0)
         assert abs(s2 - ref[1]) <= 1e-8 * max(ref[0], 1.0)
@@ -127,7 +119,7 @@ def test_iterative_path_handles_tied_top_pair():
     B = np.zeros((80, 80))
     B[:40, :40] = C
     B[40:, 40:] = C
-    s1, s2, _ = top_two_singular_values(B)
+    s1, s2 = top_two_singular_values(B)
     ref = np.linalg.svd(C, compute_uv=False)[0]
     assert abs(s1 - ref) <= 1e-8 * ref
     assert abs(s2 - ref) <= 1e-8 * ref

@@ -7,7 +7,7 @@ import pytest
 from expanderprune import linalg
 from expanderprune.config import parse_config
 from expanderprune.data import NoiseSpec, SequenceDataset, load_csv_sequences, synth_task
-from expanderprune.errors import ConfigError, DomainError, FormatError, ShapeError
+from expanderprune.errors import ConfigError, DomainError, FormatError, ShapeError, SizeError
 from expanderprune.formats import load_matrix_text
 from expanderprune.graphs import build_bipartite, edge_cheeger_bruteforce
 from expanderprune.nets import (
@@ -126,6 +126,8 @@ CASES = [
     ("unrolled-not-square", lambda tmp: UnrolledSpec(np.ones((2, 3)), 2),
      ShapeError, "block must be square, got shape (2, 3)"),
     ("unrolled-k", lambda tmp: UnrolledSpec(np.eye(2), 0), DomainError, "k must be >= 1, got 0"),
+    ("unrolled-size-cap", lambda tmp: UnrolledSpec(np.ones((64, 64)), 100),
+     SizeError, "unrolled dimension 6464 exceeds cap 4096"),
 ]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from expanderprune.errors import DomainError, SizeError
+from expanderprune.errors import DomainError
 from expanderprune.graphs import (
     UNWEIGHTED,
     WEIGHTED,
@@ -48,13 +48,6 @@ def test_block_pattern():
                 assert np.array_equal(block, B.T)
             else:
                 assert not block.any()
-
-
-def test_size_cap():
-    spec = UnrolledSpec(np.ones((64, 64)), 100)
-    for f in (build_unrolled, parity_block, unrolled_spectrum, unrolled_gap_report):
-        with pytest.raises(SizeError):
-            f(spec)
 
 
 def test_parity_block_permutes_unrolled_adjacency():
