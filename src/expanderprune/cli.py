@@ -60,12 +60,6 @@ def _resolve_out(path: str) -> str:
     return os.path.join(root, path) if root else path
 
 
-def _require_file(path: str) -> str:
-    if not os.path.isfile(path):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    return path
-
-
 def _is_checkpoint(path: str) -> bool:
     with open(path, "rb") as f:
         return f.read(4) == CHECKPOINT_MAGIC
@@ -101,11 +95,10 @@ def _naming_input(command):
 
 @_naming_input
 def cmd_analyze(args) -> int:
-    path = _require_file(args.path)
     modes = _MODE_FLAGS[args.mode]
     reports = []
-    if _is_checkpoint(path):
-        params, mask = load_checkpoint(path)
+    if _is_checkpoint(args.path):
+        params, mask = load_checkpoint(args.path)
         for layer in _LAYER_FLAGS[args.layer]:
             weights, keep = getattr(params, layer), getattr(mask, layer)
             reports += _block_reports(weights, keep, modes, layer)
@@ -115,10 +108,10 @@ def cmd_analyze(args) -> int:
                     rows = slice(g_index * H, (g_index + 1) * H)
                     reports += _block_reports(weights[rows], keep[rows], modes, f"{layer}[{gate}]")
     else:
-        reports += _block_reports(load_matrix_text(path), None, modes, "matrix")
+        reports += _block_reports(load_matrix_text(args.path), None, modes, "matrix")
     if all("error" in report for report in reports):
         raise DegenerateGraphError("graph has no edges")
-    _print_json({"source": path, "reports": reports})
+    _print_json({"source": args.path, "reports": reports})
     return 0
 
 
@@ -128,16 +121,16 @@ def _build_dataset(cfg: ExperimentConfig):
         ds = synth_task(data.synth_kind, data.n_samples, data.k, data.input_size,
                         seed=cfg.train.seed)
     elif data.source == "idx":
-        ds = load_idx_images(_require_file(data.images_path), _require_file(data.labels_path))
+        ds = load_idx_images(data.images_path, data.labels_path)
     else:
-        ds = load_csv_sequences(_require_file(data.csv_path))
+        ds = load_csv_sequences(data.csv_path)
     if data.limit and ds.n > data.limit:
         ds = ds.subset(np.arange(data.limit))
     return ds
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    cfg = load_config(_require_file(args.config), args.seed)
+    cfg = load_config(args.config, args.seed)
     if args.out:
         cfg.output_dir = args.out
     if not cfg.output_dir:
@@ -149,7 +142,7 @@ def _load_experiment(args) -> ExperimentConfig:
 def cmd_prune(args) -> int:
     cfg = _load_experiment(args)
     dataset = _build_dataset(cfg)
-    trajectory = run_imp(
+    records = run_imp(
         cfg.train,
         cfg.schedule,
         dataset,
@@ -161,13 +154,13 @@ def cmd_prune(args) -> int:
     )
     summary = {
         "output_dir": cfg.output_dir,
-        "rounds_recorded": len(trajectory.records),
-        "dense_accuracy": trajectory.records[0].test_accuracy,
-        "final_accuracy": trajectory.records[-1].test_accuracy,
-        "final_q": trajectory.records[-1].q,
+        "rounds_recorded": len(records),
+        "dense_accuracy": records[0].test_accuracy,
+        "final_accuracy": records[-1].test_accuracy,
+        "final_q": records[-1].q,
         "zero_crossings": {
             layer: {
-                kind: detect_zero_crossing(trajectory, layer, kind) for kind in GAP_KINDS
+                kind: detect_zero_crossing(records, layer, kind) for kind in GAP_KINDS
             }
             for layer in LAYERS
         },
@@ -196,11 +189,10 @@ def cmd_train(args) -> int:
 
 @_naming_input
 def cmd_unroll(args) -> int:
-    path = _require_file(args.path)
-    spec = UnrolledSpec(load_matrix_text(path), args.k)
+    spec = UnrolledSpec(load_matrix_text(args.path), args.k)
     spectrum = unrolled_spectrum(spec)
     out = {
-        "source": path,
+        "source": args.path,
         "k": args.k,
         "dimension": spec.dim,
         "spectrum": [float(v) for v in spectrum],
@@ -215,13 +207,12 @@ def cmd_unroll(args) -> int:
 
 
 def cmd_report(args) -> int:
-    path = _require_file(args.path)
-    trajectory = load_run_trajectory(path)
-    if not trajectory.records:
-        raise DomainError(f"{path}: trajectory is empty")
-    out_svg = _resolve_out(args.out) if args.out else os.path.splitext(path)[0] + ".svg"
-    out_csv = render_trajectory(trajectory, out_svg)
-    _print_json({"svg": out_svg, "csv": out_csv, "records": len(trajectory.records)})
+    records = load_run_trajectory(args.path)
+    if not records:
+        raise DomainError(f"{args.path}: trajectory is empty")
+    out_svg = _resolve_out(args.out) if args.out else os.path.splitext(args.path)[0] + ".svg"
+    out_csv = render_trajectory(records, out_svg)
+    _print_json({"svg": out_svg, "csv": out_csv, "records": len(records)})
     return 0
 
 

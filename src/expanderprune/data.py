@@ -81,8 +81,10 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise DomainError("noise fraction p must lie in [0, 1]")
-        if self.sigma < 0.0:
-            raise DomainError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise DomainError("sigma must be >= 0 and finite")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if self.apply_to not in NOISE_TARGETS:
             raise DomainError(f"apply_to {self.apply_to!r} not in {NOISE_TARGETS}")
 

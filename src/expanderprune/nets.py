@@ -70,6 +70,8 @@ class TrainConfig:
             wrong.append("clip_norm must not be NaN (<= 0 turns clipping off)")
         wrong += [f"{name} must be >= 1" for name in ("train_epochs", "batch_size")
                   if getattr(self, name) < 1]
+        if self.seed < 0:
+            wrong.append("seed must be >= 0")
         if wrong:
             raise DomainError("; ".join(wrong))
 

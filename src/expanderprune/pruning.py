@@ -22,7 +22,7 @@ import hashlib
 import math
 import os
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,20 +87,6 @@ class PruneRecord:
     def gap(self, layer: str, kind: str) -> float:
         return _gap(self.reports, layer, kind)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PruneRecord":
-        reports = {layer: {mode: SpectralReport(**rep) for mode, rep in by_mode.items()}
-                   for layer, by_mode in d["reports"].items()}
-        return cls(**{**d, "reports": reports})
-
-
-@dataclass
-class PruneTrajectory:
-    records: list[PruneRecord] = field(default_factory=list)
-
 
 def _split_kind(kind: str) -> tuple[str, str]:
     if kind not in GAP_KINDS:
@@ -164,17 +150,10 @@ def layer_reports(params: RecurrentParams, mask: PruneMask) -> dict[str, dict[st
     return out
 
 
-def _crossing_flags(reports, previous: PruneRecord | None) -> dict[str, dict[str, bool]]:
-    flags: dict[str, dict[str, bool]] = {}
-    for layer in LAYERS:
-        flags[layer] = {}
-        for kind in GAP_KINDS:
-            value = _gap(reports, layer, kind)
-            if previous is None:
-                flags[layer][kind] = value < 0
-            else:
-                flags[layer][kind] = value < 0 and previous.gap(layer, kind) >= 0
-    return flags
+def _crosses(value, previous=None) -> bool:
+    """The zero-crossing rule: a gap < 0 that starts its series (``previous``
+    None) or follows a gap >= 0.  NaN neither crosses nor precedes one."""
+    return value < 0 and (previous is None or previous >= 0)
 
 
 def _make_record(round_index, params, mask, test_ds, previous) -> PruneRecord:
@@ -184,46 +163,48 @@ def _make_record(round_index, params, mask, test_ds, previous) -> PruneRecord:
         q={layer: mask.kept_fraction(layer) for layer in LAYERS},
         test_accuracy=evaluate(params, mask, test_ds.sequences, test_ds.labels),
         reports=reports,
-        zero_crossed=_crossing_flags(reports, previous),
+        zero_crossed={layer: {kind: _crosses(_gap(reports, layer, kind),
+                                             previous and previous.gap(layer, kind))
+                              for kind in GAP_KINDS}
+                      for layer in LAYERS},
     )
 
 
 def first_zero_crossing(values) -> int | None:
-    """Index of the first transition from >= 0 to < 0 (or 0 if the series
-    starts negative); None when the series never goes negative."""
-    for i, v in enumerate(values):
-        if v < 0 and (i == 0 or values[i - 1] >= 0):
-            return i
-    return None
+    """Index of the first zero crossing (_crosses) of a gap series, or None."""
+    return next((i for i, v in enumerate(values)
+                 if _crosses(v, values[i - 1] if i else None)), None)
 
 
-def detect_zero_crossing(trajectory: PruneTrajectory, layer: str, kind: str) -> int | None:
+def detect_zero_crossing(records: list[PruneRecord], layer: str, kind: str) -> int | None:
     """Round of the first zero crossing of one layer's gap, or None."""
     _check_layer(layer)
     _split_kind(kind)
-    if not trajectory.records:
+    if not records:
         raise DomainError("trajectory is empty")
-    series = [r.gap(layer, kind) for r in trajectory.records]
-    idx = first_zero_crossing(series)
-    return None if idx is None else trajectory.records[idx].round
+    idx = first_zero_crossing([r.gap(layer, kind) for r in records])
+    return None if idx is None else records[idx].round
 
 
-def stop_criterion(trajectory: PruneTrajectory, policy) -> bool:
+def stop_criterion(records: list[PruneRecord], policy) -> bool:
     """True (stop) when any monitored (layer, gap kind) has crossed zero;
     an empty policy never stops."""
-    return bool(trajectory.records) and any(
-        detect_zero_crossing(trajectory, layer, kind) is not None for layer, kind in policy)
+    return bool(records) and any(
+        detect_zero_crossing(records, layer, kind) is not None for layer, kind in policy)
 
 
 def _record_line(record: PruneRecord) -> str:
     """A record as one canonical JSON line (byte-deterministic)."""
-    return dump_json_line(record.as_dict()) + "\n"
+    return dump_json_line(asdict(record)) + "\n"
 
 
 def _parse_record(line: bytes, path, line_no: int) -> PruneRecord:
     """Inverse of _record_line; FormatError for a line that is not a record."""
     try:
-        return PruneRecord.from_dict(parse_json_line(line.decode(), path, line_no))
+        fields = parse_json_line(line.decode(), path, line_no)
+        reports = {layer: {mode: SpectralReport(**rep) for mode, rep in by_mode.items()}
+                   for layer, by_mode in fields["reports"].items()}
+        return PruneRecord(**{**fields, "reports": reports})
     except (AttributeError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: line {line_no}: not a trajectory record: {exc}") from None
 
@@ -273,12 +254,12 @@ def _run_lines(path):
     return kept, None, None
 
 
-def load_run_trajectory(path) -> PruneTrajectory:
+def load_run_trajectory(path) -> list[PruneRecord]:
     """run_imp's records, or FormatError at the first line _run_lines refuses."""
     kept, line_no, fault = _run_lines(path)
     if fault:
         raise FormatError(f"{path}: line {line_no}: {fault}")
-    return PruneTrajectory(records=[record for record, _ in kept])
+    return [record for record, _ in kept]
 
 
 class RunDirectory:
@@ -407,7 +388,7 @@ def _dataset_digest(dataset: SequenceDataset) -> dict:
 
 def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDataset,
             *, cell_kind: str = "rnn", hidden_size: int = 128,
-            out_dir=None, policy=(), noise: NoiseSpec | None = None) -> PruneTrajectory:
+            out_dir=None, policy=(), noise: NoiseSpec | None = None) -> list[PruneRecord]:
     """Full IMP trajectory on the train/test split of ``dataset`` (split_dataset).
 
     Round 0 is the dense baseline after config.train_epochs of training
@@ -435,7 +416,7 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
     train_ds, test_ds = split_dataset(dataset, config.seed, noise)
 
     run_dir = None
-    trajectory = PruneTrajectory()
+    records: list[PruneRecord] = []
     with ExitStack() as held:
         if out_dir:
             noise_fields = asdict(noise or NoiseSpec())
@@ -452,12 +433,12 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
                 "noise_apply_to": noise_apply_to,
                 "dataset": _dataset_digest(dataset),
             }))
-            trajectory.records, params, mask = run_dir.resume()
+            records, params, mask = run_dir.resume()
         initial = init_params(dataset.input_size, hidden_size, dataset.class_count,
                               cell_kind, seed=config.seed)
 
-        for round_index in range(len(trajectory.records), schedule.rounds + 1):
-            if stop_criterion(trajectory, policy):
+        for round_index in range(len(records), schedule.rounds + 1):
+            if stop_criterion(records, policy):
                 break
             if round_index == 0:
                 params, mask = train_dense(config, initial, train_ds)
@@ -476,9 +457,9 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
                     params = train(params, mask, train_ds.sequences, train_ds.labels,
                                    config, schedule.finetune_epochs,
                                    stream=(_STREAM_FINETUNE, round_index))
-            previous = trajectory.records[-1] if trajectory.records else None
+            previous = records[-1] if records else None
             record = _make_record(round_index, params, mask, test_ds, previous)
             if run_dir is not None:
                 run_dir.append(record, params, mask)
-            trajectory.records.append(record)
-    return trajectory
+            records.append(record)
+    return records

@@ -15,7 +15,7 @@ import math
 import os
 
 from .errors import DomainError
-from .pruning import GAP_KINDS, LAYERS, PruneTrajectory, first_zero_crossing
+from .pruning import GAP_KINDS, LAYERS, PruneRecord, first_zero_crossing
 
 _PANEL_W = 640
 _PANEL_H = 240
@@ -61,14 +61,14 @@ def _polyline(points, color, dasharray=""):
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{attr} points="{coords}"/>\n'
 
 
-def trajectory_table(trajectory: PruneTrajectory) -> tuple[list[str], list[list]]:
+def trajectory_table(records: list[PruneRecord]) -> tuple[list[str], list[list]]:
     """Header and rows of the plotted quantities, one row per record."""
     header = ["round", "q_w_xh_pct", "q_w_hh_pct", "test_accuracy"]
     for layer in LAYERS:
         for kind in GAP_KINDS:
             header.append(f"{layer}_{kind}")
     rows = []
-    for record in trajectory.records:
+    for record in records:
         row = [
             record.round,
             100.0 * record.q["w_xh"],
@@ -82,10 +82,10 @@ def trajectory_table(trajectory: PruneTrajectory) -> tuple[list[str], list[list]
     return header, rows
 
 
-def render_trajectory(trajectory: PruneTrajectory, svg_path) -> str:
+def render_trajectory(records: list[PruneRecord], svg_path) -> str:
     """Write the dual-axis SVG figure and its CSV table beside it (the
     SVG path with its extension replaced by .csv); returns the CSV path."""
-    if not trajectory.records:
+    if not records:
         raise DomainError("trajectory is empty")
     csv_path = os.path.splitext(svg_path)[0] + ".csv"
     if csv_path == svg_path:
@@ -98,13 +98,13 @@ def render_trajectory(trajectory: PruneTrajectory, svg_path) -> str:
     ]
     for panel_index, layer in enumerate(LAYERS):
         top = _MARGIN_T + panel_index * (_PANEL_H + _MARGIN_B)
-        parts.append(_render_panel(trajectory, layer, top))
+        parts.append(_render_panel(records, layer, top))
     parts.append("</svg>\n")
     # The SVG goes first, so an SVG path that cannot be written leaves no CSV.
     with open(svg_path, "w") as f:
         f.write("".join(parts))
 
-    header, rows = trajectory_table(trajectory)
+    header, rows = trajectory_table(records)
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -113,8 +113,7 @@ def render_trajectory(trajectory: PruneTrajectory, svg_path) -> str:
     return csv_path
 
 
-def _render_panel(trajectory: PruneTrajectory, layer: str, top: float) -> str:
-    records = trajectory.records
+def _render_panel(records: list[PruneRecord], layer: str, top: float) -> str:
     qs = [100.0 * r.q[layer] for r in records]
     accs = [r.test_accuracy for r in records]
     gap_series = {kind: [r.gap(layer, kind) for r in records] for kind in GAP_KINDS}

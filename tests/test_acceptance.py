@@ -198,10 +198,10 @@ def imp_trajectory(tmp_path_factory):
 
 def test_criterion_8a_accuracy_preserved_while_unweighted_gap_positive(imp_trajectory):
     trajectory, _, elapsed = imp_trajectory
-    dense = trajectory.records[0].test_accuracy
+    dense = trajectory[0].test_accuracy
     assert dense >= 0.9, "desk-scale task failed to train"
     violations = []
-    for record in trajectory.records:
+    for record in trajectory:
         both_positive = all(
             record.reports[layer]["unweighted"].delta_s > 0 for layer in ("w_xh", "w_hh")
         )
@@ -224,12 +224,12 @@ def test_criterion_8a_accuracy_preserved_while_unweighted_gap_positive(imp_traje
 
 def test_criterion_8b_accuracy_drops_after_weighted_crossing(imp_trajectory):
     trajectory, _, elapsed = imp_trajectory
-    dense = trajectory.records[0].test_accuracy
+    dense = trajectory[0].test_accuracy
     crossing = detect_zero_crossing(trajectory, "w_hh", "weighted_delta_s")
     if crossing is None:
         report_line(8, False, "(b) weighted delta_S of W_hh never crossed zero")
         raise AssertionError("no weighted delta_S crossing for W_hh")
-    after = [r.test_accuracy for r in trajectory.records if r.round >= crossing]
+    after = [r.test_accuracy for r in trajectory if r.round >= crossing]
     drop = dense - float(np.mean(after))
     ok = drop >= 0.10 and elapsed < 900
     report_line(
@@ -252,15 +252,15 @@ def test_criterion_8_mnist_variant_if_available(tmp_path_factory):
         TrainConfig(**IMP_TRAIN), PruneSchedule(**IMP_SCHEDULE), dataset,
         out_dir=str(out_dir), **IMP_MODEL,
     )
-    dense = trajectory.records[0].test_accuracy
+    dense = trajectory[0].test_accuracy
     violations = [
         (r.round, r.test_accuracy)
-        for r in trajectory.records
+        for r in trajectory
         if all(r.reports[layer]["unweighted"].delta_s > 0 for layer in ("w_xh", "w_hh"))
         and abs(r.test_accuracy - dense) > 0.08
     ]
     crossing = detect_zero_crossing(trajectory, "w_hh", "weighted_delta_s")
-    after = [r.test_accuracy for r in trajectory.records if crossing is not None and r.round >= crossing]
+    after = [r.test_accuracy for r in trajectory if crossing is not None and r.round >= crossing]
     drop = dense - float(np.mean(after)) if after else 0.0
     ok = not violations and drop >= 0.10
     report_line(8, ok, f"MNIST variant: violations {violations or 'none'}, drop {drop:.3f}")
@@ -275,12 +275,12 @@ def test_qualitative_mean_accuracy_separation(imp_trajectory):
     trajectory, _, _ = imp_trajectory
     positive_rounds = [
         r.test_accuracy
-        for r in trajectory.records
+        for r in trajectory
         if all(r.reports[layer]["unweighted"].delta_s > 0 for layer in ("w_xh", "w_hh"))
     ]
     crossing = detect_zero_crossing(trajectory, "w_hh", "weighted_delta_s")
     assert crossing is not None
-    after = [r.test_accuracy for r in trajectory.records if r.round >= crossing]
+    after = [r.test_accuracy for r in trajectory if r.round >= crossing]
     separation = float(np.mean(positive_rounds)) - float(np.mean(after))
     print(f"qualitative invariant: mean-accuracy separation {separation:.3f}")
     assert separation >= 0.10

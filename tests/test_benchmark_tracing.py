@@ -33,6 +33,31 @@ def test_every_traced_name_exists(monkeypatch):
     assert not missing
 
 
+def test_every_traced_name_is_called_on_its_path(monkeypatch, tmp_path, capsys):
+    # A refactor that stopped calling a traced name (say cli.synth_task)
+    # would zero that name's per-layer metric without an error.
+    tracing = _tracing(monkeypatch)
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\ncell_kind = lstm\nhidden_size = 4\n"
+                      f"output_dir = {tmp_path / 'run'}\n"
+                      "[data]\nsynth_kind = mean-threshold\nn_samples = 40\nk = 3\n"
+                      "input_size = 2\n[train]\ntrain_epochs = 1\nbatch_size = 10\n"
+                      "[prune]\nrounds = 1\nfinetune_epochs = 1\n")
+    matx = tmp_path / "block.matx"
+    save_matrix_text(np.array([[0.0, 1.0], [1.0, 0.5]]), matx)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(["prune", "--config", str(config)]) == 0
+        for path in (tmp_path / "run" / "round_001.ckpt", matx):
+            assert cli.main(["analyze", str(path), "--per-gate"]) == 0
+        assert cli.main(["unroll", str(matx), "--k", "3", "--closed-form"]) == 0
+        graphs.edge_cheeger_bruteforce(np.ones((3, 3)) - np.eye(3))
+    capsys.readouterr()
+    # unrolled.build_unrolled is only imported for the tracer; nothing calls it.
+    expected = {name for _, _, name, _ in tracing.TARGETS} - {"unrolled.build_unrolled"}
+    assert expected - {span[0] for span in tracer.spans} == set()
+
+
 def test_traced_run_counts_every_round_and_checkpoint_byte(monkeypatch, tmp_path):
     # The traced metrics count checkpoints and their bytes at the name
     # pruning.save_checkpoint, stat-ing its path argument once the call
@@ -46,7 +71,7 @@ def test_traced_run_counts_every_round_and_checkpoint_byte(monkeypatch, tmp_path
     with tracer.installed():
         trajectory = run_imp(cfg, sched, ds, cell_kind="rnn", hidden_size=6, out_dir=str(tmp_path))
     table = tracing.summarize(tracer)
-    rounds = len(trajectory.records)
+    rounds = len(trajectory)
     assert table["formats.save_checkpoint"]["calls"] == rounds
     assert table["formats.save_checkpoint"]["count"] == sum(
         p.stat().st_size for p in tmp_path.glob("round_*.ckpt"))

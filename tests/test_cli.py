@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +380,38 @@ def test_error_lines_are_exact(tmp_path, capsys, monkeypatch):
     assert (code, err) == (2, f"error: EDOMAIN: {empty}: trajectory is empty\n")
 
 
+@pytest.mark.parametrize("argv, source", [
+    ("analyze {folder}", ""),
+    ("unroll {folder} --k 2", ""),
+    ("report {folder}", ""),
+    ("prune --config {folder}", ""),
+    ("prune --config {config}", "source = csv\ncsv_path = {folder}"),
+    ("prune --config {config}", "source = idx\nimages_path = {folder}\nlabels_path = {labels}"),
+    ("prune --config {config}", "source = idx\nimages_path = {images}\nlabels_path = {folder}"),
+], ids=["analyze", "unroll", "report", "config", "csv", "idx-images", "idx-labels"])
+def test_a_directory_given_as_an_input_file_is_eisdir(tmp_path, capsys, argv, source):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    images, labels = write_idx_fixture(tmp_path, np.zeros((20, 4, 3)), np.arange(20) % 2)
+    names = {"folder": folder, "config": tmp_path / "exp.ini", "images": images, "labels": labels}
+    (tmp_path / "exp.ini").write_text(CONFIG.format(out=tmp_path / "run")
+                                      .replace("source = synth", source.format(**names)))
+    code, out, err = run_cli(capsys, *argv.format(**names).split())
+    assert (code, out, err) == (2, "", f"error: EISDIR: {folder}: Is a directory\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_prune_lists_a_non_finite_sigma_and_a_negative_seed_as_econfig(tmp_path, capsys):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "run")
+                           + NOISE.replace("sigma = 0.3", "sigma = nan"))
+    code, out, err = run_cli(capsys, "prune", "--config", str(config_path), "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == ("error: ECONFIG: noise: sigma must be >= 0 and finite; "
+                   "train: seed must be >= 0\n")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["prune", "train"])
 def test_an_output_directory_that_is_a_file_fails_with_one_coded_line(tmp_path, capsys, command):
     taken = tmp_path / "taken"
@@ -582,7 +615,7 @@ def test_resume_keeps_the_rounds_in_order_and_reproduces_the_run(interleaved_run
 
 def test_report_refuses_a_line_without_its_newline(tmp_path, capsys):
     path = tmp_path / "t.jsonl"
-    path.write_bytes(dump_json_line(fake_record(0, {}).as_dict()).encode())
+    path.write_bytes(dump_json_line(asdict(fake_record(0, {}))).encode())
     code, out, err = run_cli(capsys, "report", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: EFORMAT: {path}: line 1: line does not end in a newline\n"
@@ -597,7 +630,7 @@ def test_report_empty_trajectory_fails(tmp_path, capsys):
 
 
 def _record_with_extra_report_key():
-    record = fake_record(0, {}).as_dict()
+    record = asdict(fake_record(0, {}))
     record["reports"]["w_xh"]["weighted"]["extra"] = 1.0
     return dump_json_line(record).encode()
 
@@ -615,7 +648,7 @@ def test_report_refuses_a_line_that_is_not_a_record(tmp_path, capsys, line):
 
 
 def _record_without(section, layer):
-    record = fake_record(0, {}).as_dict()
+    record = asdict(fake_record(0, {}))
     del record[section][layer]
     return dump_json_line(record).encode()
 
@@ -638,7 +671,7 @@ def test_report_refuses_a_record_that_lacks_a_layer(tmp_path, capsys, line, lack
 
 
 def _record_where(value, *keys):
-    record = fake_record(0, {}).as_dict()
+    record = asdict(fake_record(0, {}))
     *parents, last = keys
     target = record
     for key in parents:
@@ -667,7 +700,7 @@ def test_report_refuses_a_record_without_numbers(tmp_path, capsys, line, wrong):
 
 
 def test_report_reads_nonfinite_markers_as_numbers(tmp_path, capsys):
-    record = fake_record(0, {"weighted_delta_s": math.inf}).as_dict()
+    record = asdict(fake_record(0, {"weighted_delta_s": math.inf}))
     record["test_accuracy"] = math.nan
     path = tmp_path / "t.jsonl"
     path.write_bytes(dump_json_line(record).encode() + b"\n")
@@ -704,7 +737,7 @@ def test_svg_marks_one_rule_per_crossed_gap(tmp_path):
 def test_svg_axes_cover_data(tmp_path):
     gaps = [1.2, 0.3, -0.7]
     traj = trajectory_from_gaps("unweighted_delta_s", gaps)
-    for i, record in enumerate(traj.records):
+    for i, record in enumerate(traj):
         record.q = {"w_xh": 1.0 - 0.3 * i, "w_hh": 1.0 - 0.3 * i}
         record.test_accuracy = 0.9 - 0.2 * i
     svg_path = tmp_path / "fig.svg"

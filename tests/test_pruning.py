@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,9 +12,9 @@ from expanderprune.graphs import SpectralReport
 from expanderprune.nets import TrainConfig, apply_mask, init_params
 from expanderprune.pruning import (
     GAP_KINDS,
+    LAYERS,
     PruneRecord,
     PruneSchedule,
-    PruneTrajectory,
     detect_zero_crossing,
     first_zero_crossing,
     load_run_trajectory,
@@ -115,6 +115,17 @@ def test_first_zero_crossing_enumerated_traces():
     assert first_zero_crossing([0.4, 0.1, -0.2, -0.5]) == 2
     assert first_zero_crossing([0.3, 0.2, 0.1]) is None
     assert first_zero_crossing([0.1, -0.1, 0.2, -0.3]) == 1
+    assert first_zero_crossing([-0.1, 0.2, -0.3]) == 0  # crosses twice; the first counts
+    # NaN is not < 0, and a negative gap after NaN does not follow one >= 0
+    assert first_zero_crossing([math.nan]) is None
+    assert first_zero_crossing([0.1, math.nan, -0.2]) is None
+    assert first_zero_crossing([math.nan, -0.2, 0.1, -0.3]) == 3
+    assert first_zero_crossing([math.inf, -math.inf]) == 1
+    assert first_zero_crossing([-math.inf, math.inf]) == 0
+    assert first_zero_crossing([math.inf, math.inf]) is None
+    # -0.0 is not < 0 but is >= 0
+    assert first_zero_crossing([0.1, -0.0]) is None
+    assert first_zero_crossing([-0.0, -0.1]) == 1
 
 
 def fake_record(round_index, gap_by_kind, accuracy=0.9):
@@ -145,8 +156,7 @@ def fake_record(round_index, gap_by_kind, accuracy=0.9):
 
 
 def trajectory_from_gaps(kind, gaps):
-    records = [fake_record(i, {kind: g}) for i, g in enumerate(gaps)]
-    return PruneTrajectory(records=records)
+    return [fake_record(i, {kind: g}) for i, g in enumerate(gaps)]
 
 
 def test_detect_zero_crossing_on_traces():
@@ -184,16 +194,16 @@ def tiny_run(tmp_path=None, rounds=3, seed=3):
 
 def test_run_imp_records_and_masks(tmp_path):
     traj = tiny_run(tmp_path)
-    assert [r.round for r in traj.records] == [0, 1, 2, 3]
-    assert traj.records[0].q == {"w_xh": 1.0, "w_hh": 1.0}
-    qs = [r.q["w_xh"] for r in traj.records]
+    assert [r.round for r in traj] == [0, 1, 2, 3]
+    assert traj[0].q == {"w_xh": 1.0, "w_hh": 1.0}
+    qs = [r.q["w_xh"] for r in traj]
     assert all(b <= a for a, b in zip(qs, qs[1:]))
     sched = PruneSchedule(rounds=3, final_fraction=0.05, finetune_epochs=1)
-    for r in traj.records[1:]:
+    for r in traj[1:]:
         # recorded q is exact popcount / size for an 18-entry layer
         expected = np.ceil(sched.keep_fraction(r.round) * 18) / 18
         assert r.q["w_xh"] == expected
-    for record in traj.records:
+    for record in traj:
         for layer in ("w_xh", "w_hh"):
             assert set(record.reports[layer]) == {"weighted", "unweighted"}
 
@@ -203,9 +213,9 @@ def test_run_imp_single_identity_round_keeps_dense_accuracy():
     cfg = TrainConfig(seed=4, train_epochs=1, batch_size=20)
     sched = PruneSchedule(rounds=1, start_fraction=1.0, final_fraction=1.0)
     traj = run_imp(cfg, sched, ds, cell_kind="rnn", hidden_size=4)
-    assert len(traj.records) == 2
-    assert traj.records[1].q == {"w_xh": 1.0, "w_hh": 1.0}
-    assert traj.records[1].test_accuracy == traj.records[0].test_accuracy
+    assert len(traj) == 2
+    assert traj[1].q == {"w_xh": 1.0, "w_hh": 1.0}
+    assert traj[1].test_accuracy == traj[0].test_accuracy
 
 
 def test_rewind_to_init_starts_every_round_from_the_masked_initial_weights(tmp_path):
@@ -238,15 +248,33 @@ def test_run_imp_stop_policy_halts_early():
         pytest.skip("no crossing on this tiny run")
     stopped = run_imp(cfg, sched, ds, cell_kind="rnn", hidden_size=6,
                       policy=[("w_hh", first_kind)])
-    assert stopped.records[-1].round == crossing
+    assert stopped[-1].round == crossing
+
+
+def test_stored_crossing_flags_are_the_rounds_detect_zero_crossing_finds():
+    ds = synth_task("mean-threshold", 80, 4, 3, seed=5)
+    cfg = TrainConfig(seed=5, train_epochs=1, batch_size=20)
+    sched = PruneSchedule(rounds=8, final_fraction=0.02, finetune_epochs=0)
+    records = run_imp(cfg, sched, ds, cell_kind="rnn", hidden_size=6)
+    flagged = {}
+    for layer in LAYERS:
+        for kind in GAP_KINDS:
+            flagged[layer, kind] = [r.round for r in records if r.zero_crossed[layer][kind]]
+            # each round is flagged iff it crosses after the round before it
+            assert flagged[layer, kind] == [
+                r.round for i, r in enumerate(records)
+                if detect_zero_crossing(records[max(i - 1, 0):i + 1], layer, kind) == r.round]
+            first = flagged[layer, kind][0] if flagged[layer, kind] else None
+            assert first == detect_zero_crossing(records, layer, kind)
+    assert any(flagged.values()), "no crossing on this tiny run"
 
 
 def test_trajectory_round_trip(tmp_path):
     traj = tiny_run(tmp_path)
     loaded = load_run_trajectory(tmp_path / "trajectory.jsonl")
-    assert len(loaded.records) == len(traj.records)
-    for a, b in zip(loaded.records, traj.records):
-        assert a.as_dict() == b.as_dict()
+    assert len(loaded) == len(traj)
+    for a, b in zip(loaded, traj):
+        assert asdict(a) == asdict(b)
 
 
 PINNED_LINE = (
@@ -293,7 +321,7 @@ def test_run_imp_refuses_a_record_that_lacks_a_layer(tmp_path):
     tiny_run(tmp_path)
     path = tmp_path / "trajectory.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
-    record = load_run_trajectory(path).records[1].as_dict()
+    record = asdict(load_run_trajectory(path)[1])
     del record["reports"]["w_hh"]
     lines[1] = (dump_json_line(record) + "\n").encode()
     path.write_bytes(b"".join(lines))
@@ -307,7 +335,7 @@ def test_run_imp_refuses_a_record_whose_round_is_not_an_int(tmp_path):
     tiny_run(tmp_path)
     path = tmp_path / "trajectory.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
-    record = load_run_trajectory(path).records[1].as_dict()
+    record = asdict(load_run_trajectory(path)[1])
     record["round"] = 1.0
     lines[1] = (dump_json_line(record) + "\n").encode()
     path.write_bytes(b"".join(lines))
@@ -318,7 +346,7 @@ def test_run_imp_refuses_a_record_whose_round_is_not_an_int(tmp_path):
 
 
 def test_only_run_readers_check_value_types(tmp_path):
-    record = fake_record(0, {}).as_dict()
+    record = asdict(fake_record(0, {}))
     record["q"]["w_xh"] = "x"
     path = tmp_path / "t.jsonl"
     path.write_text(dump_json_line(record) + "\n")
@@ -357,7 +385,7 @@ def test_run_imp_resume_is_bit_identical(tmp_path):
     for name in ("round_000.ckpt", "round_001.ckpt"):
         (partial / name).write_bytes((tmp_path / "full" / name).read_bytes())
     resumed = tiny_run(partial, rounds=4)
-    assert [r.round for r in resumed.records] == [0, 1, 2, 3, 4]
+    assert [r.round for r in resumed] == [0, 1, 2, 3, 4]
     assert (partial / "trajectory.jsonl").read_bytes() == full_path.read_bytes()
 
 

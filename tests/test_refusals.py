@@ -23,7 +23,6 @@ from expanderprune.nets import (
 )
 from expanderprune.pruning import (
     PruneSchedule,
-    PruneTrajectory,
     detect_zero_crossing,
     magnitude_prune,
 )
@@ -67,6 +66,10 @@ CASES = [
      ConfigError, "data.csv_path: no such file: "),
     ("limit-negative", lambda tmp: parse_config("[data]\nlimit = -1\n"),
      ConfigError, "data.limit: must be >= 0"),
+    ("config-noise-seed", lambda tmp: parse_config("[noise]\nseed = -1\n"),
+     ConfigError, "noise: seed must be >= 0"),
+    ("config-seed", lambda tmp: parse_config("[experiment]\nseed = -1\n"),
+     ConfigError, "train: seed must be >= 0"),
     # data
     ("dataset-not-3d", lambda tmp: SequenceDataset(np.zeros((2, 3)), np.zeros(2), 2),
      ShapeError, "sequences must be (n, k, input_size), got (2, 3)"),
@@ -78,6 +81,11 @@ CASES = [
      DomainError, "labels must lie in [0, class_count)"),
     ("noise-p", lambda tmp: NoiseSpec(p=1.5), DomainError, "noise fraction p must lie in [0, 1]"),
     ("noise-sigma", lambda tmp: NoiseSpec(sigma=-0.1), DomainError, "sigma must be >= 0"),
+    ("noise-sigma-nan", lambda tmp: NoiseSpec(sigma=float("nan")),
+     DomainError, "sigma must be >= 0 and finite"),
+    ("noise-sigma-inf", lambda tmp: NoiseSpec(sigma=float("inf")),
+     DomainError, "sigma must be >= 0 and finite"),
+    ("noise-seed", lambda tmp: NoiseSpec(seed=-1), DomainError, "seed must be >= 0"),
     ("synth-sizes", lambda tmp: synth_task("running-parity", 4, 0, 3),
      DomainError, "n_samples, k and input_size must be >= 1"),
     ("csv-header-below-one", lambda tmp: load_csv_sequences(_write(tmp, "s.csv", "2,0,2\n")),
@@ -99,6 +107,7 @@ CASES = [
     ("train-epochs", lambda tmp: TrainConfig(train_epochs=0),
      DomainError, "train_epochs must be >= 1"),
     ("train-batch", lambda tmp: TrainConfig(batch_size=0), DomainError, "batch_size must be >= 1"),
+    ("train-seed", lambda tmp: TrainConfig(seed=-1), DomainError, "seed must be >= 0"),
     ("gate-rows-cell-kind", lambda tmp: gate_rows("gru", 4),
      DomainError, "unknown cell kind 'gru'"),
     ("init-sizes", lambda tmp: init_params(3, 0, 2), DomainError, "sizes must be >= 1"),
@@ -117,10 +126,10 @@ CASES = [
     ("prune-mask-shape", lambda tmp: magnitude_prune(np.ones((2, 2)), np.ones((2, 3), bool), 0.5),
      ShapeError, "mask shape (2, 3) != weight shape (2, 2)"),
     ("zero-crossing-empty",
-     lambda tmp: detect_zero_crossing(PruneTrajectory(), "w_xh", "weighted_delta_s"),
+     lambda tmp: detect_zero_crossing([], "w_xh", "weighted_delta_s"),
      DomainError, "trajectory is empty"),
     # svgplot
-    ("render-empty", lambda tmp: render_trajectory(PruneTrajectory(), str(tmp / "f.svg")),
+    ("render-empty", lambda tmp: render_trajectory([], str(tmp / "f.svg")),
      DomainError, "trajectory is empty"),
     # unrolled
     ("unrolled-not-square", lambda tmp: UnrolledSpec(np.ones((2, 3)), 2),
