@@ -39,17 +39,22 @@ by the field's annotated type; an absent key keeps the dataclass default,
 an unknown section or key is an error, and '%' is literal.  [experiment]
 seed is TrainConfig.seed; the synthetic data and an unset [noise] seed
 derive from it, after any override passed to parse_config/load_config.
-Validation collects every violated field before failing.
+ExperimentConfig, DataConfig, NoiseSpec, TrainConfig and PruneSchedule
+own [experiment], [data], [noise], [train] and [prune], and each lists
+every violated field of its own in __post_init__.  parse_config keeps
+only the INI mechanics and the [monitor] policy check, and reports each
+violation once as ``section.key: reason``; a refused seed derived from
+[experiment] seed is ``experiment.seed``.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .data import NoiseSpec, SYNTH_KINDS
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, check_fields
 from .nets import CELL_KINDS, TrainConfig
 from .pruning import GAP_KINDS, LAYERS, PruneSchedule
 
@@ -68,6 +73,22 @@ class DataConfig:
     csv_path: str = ""
     limit: int = 0  # optional cap on dataset size; 0 = no cap
 
+    def __post_init__(self):
+        synth = self.source == "synth"
+        checks = [("source", self.source in _DATA_SOURCES,
+                   f"{self.source!r} not in {_DATA_SOURCES}"),
+                  ("synth_kind", not synth or self.synth_kind in SYNTH_KINDS,
+                   f"{self.synth_kind!r} not in {SYNTH_KINDS}")]
+        checks += [(name, not synth or getattr(self, name) >= 1, "must be >= 1")
+                   for name in ("n_samples", "k", "input_size")]
+        paths = {"idx": ("images_path", "labels_path"), "csv": ("csv_path",)}
+        for name in paths.get(self.source, ()):
+            path = getattr(self, name)
+            reason = f"no such file: {path}" if path else f"required for source={self.source}"
+            checks.append((name, os.path.exists(path), reason))
+        checks.append(("limit", self.limit >= 0, "must be >= 0"))
+        check_fields(checks)
+
 
 @dataclass
 class ExperimentConfig:
@@ -79,6 +100,12 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     schedule: PruneSchedule = field(default_factory=PruneSchedule)
     policy: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        check_fields([
+            ("cell_kind", self.cell_kind in CELL_KINDS, f"{self.cell_kind!r} not in {CELL_KINDS}"),
+            ("hidden_size", self.hidden_size >= 1, "must be >= 1"),
+        ])
 
 
 def _boolean(raw: str) -> bool:
@@ -145,59 +172,33 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
             except ValueError as exc:
                 errors.append(f"{section}.{key}: {exc}")
 
-    def build(section, cls, **defaults):
-        """``cls`` from the section's values over ``defaults``; None once a refusal is logged."""
+    def build(section, cls, **derived):
+        """``cls`` from the section's values over ``derived`` ones; None once refused."""
+        given = values[section]
         try:
-            return cls(**{**defaults, **values[section]})
-        except ValueError as exc:
-            errors.append(f"{section}: {exc}")
+            return cls(**{**derived, **given})
+        except DomainError as exc:
+            for name, reason in exc.fields:
+                owner = "experiment" if name in derived.keys() - given.keys() else section
+                errors.append(f"{owner}.{name}: {reason}")
 
-    experiment = values["experiment"]
-    file_seed = experiment.pop("seed", TrainConfig.seed)
+    file_seed = values["experiment"].pop("seed", TrainConfig.seed)
     seed = file_seed if seed is None else seed
-    cfg = ExperimentConfig(**experiment, data=DataConfig(**values["data"]))
-    if parser.has_section("noise"):
-        cfg.noise = build("noise", NoiseSpec, seed=seed)
-    cfg.train = build("train", TrainConfig, seed=seed)
-    cfg.schedule = build("prune", PruneSchedule)
-    cfg.policy = values["monitor"].get("policy", ())
-
-    # structural validation, collecting every problem
-    data = cfg.data
-    if cfg.cell_kind not in CELL_KINDS:
-        errors.append(f"experiment.cell_kind: {cfg.cell_kind!r} not in {CELL_KINDS}")
-    if cfg.hidden_size < 1:
-        errors.append("experiment.hidden_size: must be >= 1")
-    if data.source not in _DATA_SOURCES:
-        errors.append(f"data.source: {data.source!r} not in {_DATA_SOURCES}")
-    if data.source == "synth":
-        if data.synth_kind not in SYNTH_KINDS:
-            errors.append(f"data.synth_kind: {data.synth_kind!r} not in {SYNTH_KINDS}")
-        for name in ("n_samples", "k", "input_size"):
-            if getattr(data, name) < 1:
-                errors.append(f"data.{name}: must be >= 1")
-    if data.source == "idx":
-        for name in ("images_path", "labels_path"):
-            if not getattr(data, name):
-                errors.append(f"data.{name}: required for source=idx")
-            elif not os.path.exists(getattr(data, name)):
-                errors.append(f"data.{name}: no such file: {getattr(data, name)}")
-    if data.source == "csv":
-        if not data.csv_path:
-            errors.append("data.csv_path: required for source=csv")
-        elif not os.path.exists(data.csv_path):
-            errors.append(f"data.csv_path: no such file: {data.csv_path}")
-    if data.limit < 0:
-        errors.append("data.limit: must be >= 0")
-    for layer, kind in cfg.policy:
+    cfg = build("experiment", ExperimentConfig)
+    parts = {"data": build("data", DataConfig),
+             "noise": build("noise", NoiseSpec, seed=seed) if "noise" in parser else None,
+             "train": build("train", TrainConfig, seed=seed),
+             "schedule": build("prune", PruneSchedule),
+             "policy": values["monitor"].get("policy", ())}
+    for layer, kind in parts["policy"]:
         if layer not in LAYERS:
             errors.append(f"monitor.policy: unknown layer {layer!r}")
         if kind not in GAP_KINDS:
             errors.append(f"monitor.policy: unknown gap kind {kind!r}")
 
-    if errors:
-        raise ConfigError("; ".join(errors))
-    return cfg
+    if errors:  # a refused seed is logged by [noise] and [train] alike; list it once
+        raise ConfigError("; ".join(dict.fromkeys(errors)))
+    return replace(cfg, **parts)
 
 
 def load_config(path, seed: int | None = None) -> ExperimentConfig:

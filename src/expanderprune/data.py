@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ShapeError
+from .errors import DomainError, FormatError, ShapeError, check_fields
 from .formats import read_exact
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -79,14 +79,13 @@ class NoiseSpec:
     apply_to: str = "both"
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError("noise fraction p must lie in [0, 1]")
-        if not 0.0 <= self.sigma < math.inf:
-            raise DomainError("sigma must be >= 0 and finite")
-        if self.seed < 0:
-            raise DomainError("seed must be >= 0")
-        if self.apply_to not in NOISE_TARGETS:
-            raise DomainError(f"apply_to {self.apply_to!r} not in {NOISE_TARGETS}")
+        check_fields([
+            ("p", 0.0 <= self.p <= 1.0, "must lie in [0, 1]"),
+            ("sigma", 0.0 <= self.sigma < math.inf, "must be >= 0 and finite"),
+            ("seed", self.seed >= 0, "must be >= 0"),
+            ("apply_to", self.apply_to in NOISE_TARGETS,
+             f"{self.apply_to!r} not in {NOISE_TARGETS}"),
+        ])
 
 
 def _read_idx(path, magic, ndim) -> np.ndarray:

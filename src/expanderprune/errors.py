@@ -15,6 +15,17 @@ class DomainError(ValueError):
     """A value is outside the mathematical domain of the operation."""
 
     code = "EDOMAIN"
+    fields: tuple[tuple[str, str], ...] = ()  # (name, reason) per refused dataclass field
+
+
+def check_fields(checks) -> None:
+    """Raise one DomainError naming each (name, holds, reason) check that does
+    not hold, as ``name: reason``: the rule of every settings dataclass."""
+    wrong = tuple((name, reason) for name, holds, reason in checks if not holds)
+    if wrong:
+        error = DomainError("; ".join(f"{name}: {reason}" for name, reason in wrong))
+        error.fields = wrong
+        raise error
 
 
 class SizeError(ValueError):

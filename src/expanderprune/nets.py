@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_fields
 
 RNN = "rnn"
 LSTM = "lstm"
@@ -62,18 +62,16 @@ class TrainConfig:
     def __post_init__(self):
         """DomainError listing every value that could only train to NaN or
         not at all (the comparisons are False for NaN, so NaN is refused)."""
-        wrong = [f"{name} must be finite and > 0" for name in ("learning_rate", "adam_eps")
-                 if not 0 < getattr(self, name) < math.inf]
-        wrong += [f"{name} must be in [0, 1)" for name in ("beta1", "beta2")
-                  if not 0 <= getattr(self, name) < 1]
-        if math.isnan(self.clip_norm):
-            wrong.append("clip_norm must not be NaN (<= 0 turns clipping off)")
-        wrong += [f"{name} must be >= 1" for name in ("train_epochs", "batch_size")
-                  if getattr(self, name) < 1]
-        if self.seed < 0:
-            wrong.append("seed must be >= 0")
-        if wrong:
-            raise DomainError("; ".join(wrong))
+        checks = [(name, 0 < getattr(self, name) < math.inf, "must be finite and > 0")
+                  for name in ("learning_rate", "adam_eps")]
+        checks += [(name, 0 <= getattr(self, name) < 1, "must be in [0, 1)")
+                   for name in ("beta1", "beta2")]
+        checks.append(("clip_norm", not math.isnan(self.clip_norm),
+                       "must not be NaN (<= 0 turns clipping off)"))
+        checks += [(name, getattr(self, name) >= 1, "must be >= 1")
+                   for name in ("train_epochs", "batch_size")]
+        checks.append(("seed", self.seed >= 0, "must be >= 0"))
+        check_fields(checks)
 
 
 @dataclass

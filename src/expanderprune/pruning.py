@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import NoiseSpec, SequenceDataset, add_noise, train_test_split
-from .errors import ConfigError, DomainError, FormatError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, ShapeError, check_fields
 from .formats import (
     dump_json_line,
     load_checkpoint,
@@ -64,12 +64,13 @@ class PruneSchedule:
     rewind_to_init: bool = False
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise DomainError("rounds must be >= 1")
-        if not 0.0 < self.final_fraction <= self.start_fraction <= 1.0:
-            raise DomainError("need 0 < final_fraction <= start_fraction <= 1")
-        if self.finetune_epochs < 0:
-            raise DomainError("finetune_epochs must be >= 0")
+        check_fields([
+            ("rounds", self.rounds >= 1, "must be >= 1"),
+            ("start_fraction", 0.0 < self.start_fraction <= 1.0, "must lie in (0, 1]"),
+            ("final_fraction", 0.0 < self.final_fraction <= self.start_fraction,
+             "must lie in (0, start_fraction]"),
+            ("finetune_epochs", self.finetune_epochs >= 0, "must be >= 0"),
+        ])
 
     def keep_fraction(self, round_index: int) -> float:
         ratio = (self.final_fraction / self.start_fraction) ** (1.0 / self.rounds)

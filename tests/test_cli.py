@@ -407,8 +407,8 @@ def test_prune_lists_a_non_finite_sigma_and_a_negative_seed_as_econfig(tmp_path,
                            + NOISE.replace("sigma = 0.3", "sigma = nan"))
     code, out, err = run_cli(capsys, "prune", "--config", str(config_path), "--seed", "-1")
     assert (code, out) == (2, "")
-    assert err == ("error: ECONFIG: noise: sigma must be >= 0 and finite; "
-                   "train: seed must be >= 0\n")
+    assert err == ("error: ECONFIG: noise.sigma: must be >= 0 and finite; "
+                   "experiment.seed: must be >= 0\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -465,15 +465,16 @@ def test_a_second_writer_is_refused_while_the_first_holds_the_directory(tmp_path
 
 
 @pytest.mark.parametrize("old, new, fault", [
-    ("learning_rate = 0.003", "learning_rate = nan", "learning_rate must be finite and > 0"),
-    ("learning_rate = 0.003", "learning_rate = inf", "learning_rate must be finite and > 0"),
-    ("batch_size = 20", "batch_size = 20\nbeta1 = 1.5", "beta1 must be in [0, 1)"),
-    ("batch_size = 20", "batch_size = 20\nbeta2 = -1", "beta2 must be in [0, 1)"),
-    ("batch_size = 20", "batch_size = 20\nadam_eps = 0", "adam_eps must be finite and > 0"),
+    ("learning_rate = 0.003", "learning_rate = nan", "learning_rate: must be finite and > 0"),
+    ("learning_rate = 0.003", "learning_rate = inf", "learning_rate: must be finite and > 0"),
+    ("batch_size = 20", "batch_size = 20\nbeta1 = 1.5", "beta1: must be in [0, 1)"),
+    ("batch_size = 20", "batch_size = 20\nbeta2 = -1", "beta2: must be in [0, 1)"),
+    ("batch_size = 20", "batch_size = 20\nadam_eps = 0", "adam_eps: must be finite and > 0"),
     ("batch_size = 20", "batch_size = 20\nclip_norm = nan",
-     "clip_norm must not be NaN (<= 0 turns clipping off)"),
+     "clip_norm: must not be NaN (<= 0 turns clipping off)"),
     ("batch_size = 20", "batch_size = 0\nbeta1 = 1\nadam_eps = nan",
-     "adam_eps must be finite and > 0; beta1 must be in [0, 1); batch_size must be >= 1"),
+     "adam_eps: must be finite and > 0; train.beta1: must be in [0, 1); "
+     "train.batch_size: must be >= 1"),
 ], ids=["learning-rate-nan", "learning-rate-inf", "beta1", "beta2", "adam-eps", "clip-norm-nan",
         "several"])
 def test_prune_refuses_training_values_that_can_only_train_to_nan(tmp_path, capsys,
@@ -481,7 +482,7 @@ def test_prune_refuses_training_values_that_can_only_train_to_nan(tmp_path, caps
     config_path = tmp_path / "exp.ini"
     config_path.write_text(CONFIG.format(out=tmp_path / "run").replace(old, new))
     code, out, err = run_cli(capsys, "prune", "--config", str(config_path))
-    assert (code, out, err) == (2, "", f"error: ECONFIG: train: {fault}\n")
+    assert (code, out, err) == (2, "", f"error: ECONFIG: train.{fault}\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -720,9 +721,6 @@ def test_csv_lands_beside_an_svg_path_without_extension(tmp_path):
 
 def test_svg_marks_one_rule_per_crossed_gap(tmp_path):
     # weighted delta_s crosses at index 2; the unweighted gaps never do
-    records = []
-    for i, value in enumerate([0.4, 0.1, -0.2, -0.5]):
-        records.append(fake_record(i, {"weighted_delta_s": value}))
     traj = trajectory_from_gaps("weighted_delta_s", [0.4, 0.1, -0.2, -0.5])
     svg_path = tmp_path / "fig.svg"
     render_trajectory(traj, svg_path)

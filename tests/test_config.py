@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expanderprune.config import load_config, parse_config
 from expanderprune.errors import ConfigError
@@ -91,8 +92,8 @@ policy = w_hy:weighted_delta_s
         "experiment.cell_kind",
         "experiment.hidden_size",
         "data.source",
-        "train:",
-        "prune:",
+        "train.learning_rate",
+        "prune.rounds",
         "monitor.policy",
     ):
         assert fragment in message
@@ -149,4 +150,55 @@ def test_conversion_and_noise_target_errors_name_their_field():
     message = str(exc_info.value)
     assert "train.beta1: could not convert string to float: 'fast'" in message
     assert "prune.rewind_to_init: not a boolean: 'maybe'" in message
-    assert "noise: apply_to 'sideways' not in ('both', 'train', 'test')" in message
+    assert "noise.apply_to: 'sideways' not in ('both', 'train', 'test')" in message
+
+
+# An invalid value for each key that a section's dataclass (or the INI
+# conversion) checks.  An unknown source leaves the synth fields unread, so
+# they are not drawn with it; final_fraction is checked against
+# start_fraction, so its values are invalid against any start_fraction here.
+INVALID = {
+    "experiment.cell_kind": ["gru", ""],
+    "experiment.hidden_size": ["0", "-3", "x"],
+    "experiment.seed": ["-1", "1.5"],
+    "data.source": ["nowhere"],
+    "data.synth_kind": ["spiral"],
+    "data.n_samples": ["0"],
+    "data.k": ["-1"],
+    "data.input_size": ["0"],
+    "data.limit": ["-1"],
+    "noise.p": ["1.5", "-0.1", "nan"],
+    "noise.sigma": ["-1", "nan", "inf"],
+    "noise.seed": ["-2"],
+    "noise.apply_to": ["sideways"],
+    "train.learning_rate": ["0", "nan", "inf"],
+    "train.train_epochs": ["0"],
+    "train.batch_size": ["-1"],
+    "train.beta1": ["1", "-0.5"],
+    "train.beta2": ["nan"],
+    "train.adam_eps": ["0"],
+    "train.clip_norm": ["nan"],
+    "prune.rounds": ["0"],
+    "prune.start_fraction": ["1.5", "inf"],
+    "prune.final_fraction": ["0", "-0.5", "nan"],
+    "prune.finetune_epochs": ["-1"],
+    "prune.rewind_to_init": ["maybe"],
+}
+SYNTH_KEYS = {"data.synth_kind", "data.n_samples", "data.k", "data.input_size"}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data(), st.sets(st.sampled_from(sorted(INVALID)), min_size=1), st.booleans())
+def test_every_violation_is_listed_once_under_its_own_key(data, keys, with_noise):
+    if "data.source" in keys:
+        keys -= SYNTH_KEYS
+    sections = {"noise": ""} if with_noise else {}
+    for key in sorted(keys):
+        section, name = key.split(".")
+        value = data.draw(st.sampled_from(INVALID[key]))
+        sections[section] = sections.get(section, "") + f"{name} = {value}\n"
+    text = "".join(f"[{section}]\n{body}" for section, body in sections.items())
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(text)
+    listed = [violation.split(": ", 1)[0] for violation in str(exc_info.value).split("; ")]
+    assert sorted(listed) == sorted(keys)

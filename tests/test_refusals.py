@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from expanderprune import linalg
-from expanderprune.config import parse_config
+from expanderprune.config import DataConfig, ExperimentConfig, parse_config
 from expanderprune.data import NoiseSpec, SequenceDataset, load_csv_sequences, synth_task
 from expanderprune.errors import ConfigError, DomainError, FormatError, ShapeError, SizeError
 from expanderprune.formats import load_matrix_text
@@ -67,9 +67,18 @@ CASES = [
     ("limit-negative", lambda tmp: parse_config("[data]\nlimit = -1\n"),
      ConfigError, "data.limit: must be >= 0"),
     ("config-noise-seed", lambda tmp: parse_config("[noise]\nseed = -1\n"),
-     ConfigError, "noise: seed must be >= 0"),
+     ConfigError, "noise.seed: must be >= 0"),
     ("config-seed", lambda tmp: parse_config("[experiment]\nseed = -1\n"),
-     ConfigError, "train: seed must be >= 0"),
+     ConfigError, "experiment.seed: must be >= 0"),
+    ("data-source", lambda tmp: DataConfig(source="nowhere"),
+     DomainError, "source: 'nowhere' not in ('synth', 'idx', 'csv')"),
+    ("data-several", lambda tmp: DataConfig(synth_kind="spiral", k=0, limit=-1),
+     DomainError, "synth_kind: 'spiral' not in ('running-parity', 'mean-threshold'); "
+                  "k: must be >= 1; limit: must be >= 0"),
+    ("data-idx-paths", lambda tmp: DataConfig(source="idx", images_path=f"{tmp}/no.idx"),
+     DomainError, "no.idx; labels_path: required for source=idx"),
+    ("experiment-several", lambda tmp: ExperimentConfig(cell_kind="gru", hidden_size=0),
+     DomainError, "cell_kind: 'gru' not in ('rnn', 'lstm'); hidden_size: must be >= 1"),
     # data
     ("dataset-not-3d", lambda tmp: SequenceDataset(np.zeros((2, 3)), np.zeros(2), 2),
      ShapeError, "sequences must be (n, k, input_size), got (2, 3)"),
@@ -79,13 +88,15 @@ CASES = [
      DomainError, "sequence values must be finite"),
     ("dataset-label-range", lambda tmp: SequenceDataset(np.zeros((1, 1, 1)), [2], 2),
      DomainError, "labels must lie in [0, class_count)"),
-    ("noise-p", lambda tmp: NoiseSpec(p=1.5), DomainError, "noise fraction p must lie in [0, 1]"),
-    ("noise-sigma", lambda tmp: NoiseSpec(sigma=-0.1), DomainError, "sigma must be >= 0"),
+    ("noise-p", lambda tmp: NoiseSpec(p=1.5), DomainError, "p: must lie in [0, 1]"),
+    ("noise-sigma", lambda tmp: NoiseSpec(sigma=-0.1), DomainError, "sigma: must be >= 0"),
     ("noise-sigma-nan", lambda tmp: NoiseSpec(sigma=float("nan")),
-     DomainError, "sigma must be >= 0 and finite"),
+     DomainError, "sigma: must be >= 0 and finite"),
     ("noise-sigma-inf", lambda tmp: NoiseSpec(sigma=float("inf")),
-     DomainError, "sigma must be >= 0 and finite"),
-    ("noise-seed", lambda tmp: NoiseSpec(seed=-1), DomainError, "seed must be >= 0"),
+     DomainError, "sigma: must be >= 0 and finite"),
+    ("noise-seed", lambda tmp: NoiseSpec(seed=-1), DomainError, "seed: must be >= 0"),
+    ("noise-several", lambda tmp: NoiseSpec(p=2, sigma=float("nan"), seed=-1),
+     DomainError, "p: must lie in [0, 1]; sigma: must be >= 0 and finite; seed: must be >= 0"),
     ("synth-sizes", lambda tmp: synth_task("running-parity", 4, 0, 3),
      DomainError, "n_samples, k and input_size must be >= 1"),
     ("csv-header-below-one", lambda tmp: load_csv_sequences(_write(tmp, "s.csv", "2,0,2\n")),
@@ -105,9 +116,10 @@ CASES = [
      ShapeError, "expected a non-empty 2-D matrix, got shape (0, 2)"),
     # nets
     ("train-epochs", lambda tmp: TrainConfig(train_epochs=0),
-     DomainError, "train_epochs must be >= 1"),
-    ("train-batch", lambda tmp: TrainConfig(batch_size=0), DomainError, "batch_size must be >= 1"),
-    ("train-seed", lambda tmp: TrainConfig(seed=-1), DomainError, "seed must be >= 0"),
+     DomainError, "train_epochs: must be >= 1"),
+    ("train-batch", lambda tmp: TrainConfig(batch_size=0),
+     DomainError, "batch_size: must be >= 1"),
+    ("train-seed", lambda tmp: TrainConfig(seed=-1), DomainError, "seed: must be >= 0"),
     ("gate-rows-cell-kind", lambda tmp: gate_rows("gru", 4),
      DomainError, "unknown cell kind 'gru'"),
     ("init-sizes", lambda tmp: init_params(3, 0, 2), DomainError, "sizes must be >= 1"),
@@ -122,7 +134,9 @@ CASES = [
      DomainError, "training set is empty"),
     # pruning
     ("finetune-epochs", lambda tmp: PruneSchedule(finetune_epochs=-1),
-     DomainError, "finetune_epochs must be >= 0"),
+     DomainError, "finetune_epochs: must be >= 0"),
+    ("schedule-several", lambda tmp: PruneSchedule(rounds=0, finetune_epochs=-1),
+     DomainError, "rounds: must be >= 1; finetune_epochs: must be >= 0"),
     ("prune-mask-shape", lambda tmp: magnitude_prune(np.ones((2, 2)), np.ones((2, 3), bool), 0.5),
      ShapeError, "mask shape (2, 3) != weight shape (2, 2)"),
     ("zero-crossing-empty",
@@ -147,6 +161,18 @@ def test_refusal(tmp_path, call, error, fragment):
         call(tmp_path)
     assert type(info.value) is error
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("text, seed", [
+    ("[experiment]\nseed = -1\n", None),
+    ("[experiment]\nseed = -1\n[noise]\np = 0.1\n", None),
+    ("[experiment]\nseed = 3\n[noise]\np = 0.1\n", -1),
+], ids=["file", "file-with-noise", "override-with-noise"])
+def test_a_negative_experiment_seed_is_listed_once(text, seed):
+    # [noise] and [train] both derive their seed from it; neither is blamed.
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, seed)
+    assert str(info.value) == "experiment.seed: must be >= 0"
 
 
 def test_an_eigensolver_past_the_gershgorin_bound_is_refused(monkeypatch):
