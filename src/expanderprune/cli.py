@@ -31,14 +31,14 @@ from .formats import (
     save_checkpoint,
 )
 from .graphs import MODES, build_bipartite, spectral_gaps
-from .nets import GATES, LSTM, evaluate, init_params
+from .nets import GATES, LSTM, evaluate
 from .pruning import (
     GAP_KINDS,
     LAYERS,
     detect_zero_crossing,
     load_run_trajectory,
     run_imp,
-    split_dataset,
+    start_run,
     train_dense,
 )
 from .svgplot import render_trajectory
@@ -134,7 +134,7 @@ def _load_experiment(args) -> ExperimentConfig:
     if args.out:
         cfg.output_dir = args.out
     if not cfg.output_dir:
-        raise ConfigError("experiment.output_dir missing (set it or pass --out)")
+        raise ConfigError("experiment.output_dir: missing (set it or pass --out)")
     cfg.output_dir = _resolve_out(cfg.output_dir)
     return cfg
 
@@ -172,9 +172,8 @@ def cmd_prune(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_experiment(args)
     dataset = _build_dataset(cfg)
-    train_ds, test_ds = split_dataset(dataset, cfg.train.seed, cfg.noise)
-    initial = init_params(dataset.input_size, cfg.hidden_size, dataset.class_count,
-                          cfg.cell_kind, seed=cfg.train.seed)
+    train_ds, test_ds, initial = start_run(cfg.train, dataset, cfg.cell_kind, cfg.hidden_size,
+                                           cfg.noise)
     os.makedirs(cfg.output_dir, exist_ok=True)
     params, mask = train_dense(cfg.train, initial, train_ds)
     ckpt_path = os.path.join(cfg.output_dir, "dense.ckpt")

@@ -41,10 +41,10 @@ seed is TrainConfig.seed; the synthetic data and an unset [noise] seed
 derive from it, after any override passed to parse_config/load_config.
 ExperimentConfig, DataConfig, NoiseSpec, TrainConfig and PruneSchedule
 own [experiment], [data], [noise], [train] and [prune], and each lists
-every violated field of its own in __post_init__.  parse_config keeps
-only the INI mechanics and the [monitor] policy check, and reports each
-violation once as ``section.key: reason``; a refused seed derived from
-[experiment] seed is ``experiment.seed``.
+every violated field of its own in __post_init__; pruning.check_policy
+owns [monitor] policy.  parse_config keeps only the INI mechanics, and
+reports each violation once as ``section.key: reason``; a refused seed
+derived from [experiment] seed is ``experiment.seed``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, fields, replace
 from .data import NoiseSpec, SYNTH_KINDS
 from .errors import ConfigError, DomainError, check_fields
 from .nets import CELL_KINDS, TrainConfig
-from .pruning import GAP_KINDS, LAYERS, PruneSchedule
+from .pruning import PruneSchedule, check_policy
 
 _DATA_SOURCES = ("synth", "idx", "csv")
 
@@ -189,12 +189,7 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
              "noise": build("noise", NoiseSpec, seed=seed) if "noise" in parser else None,
              "train": build("train", TrainConfig, seed=seed),
              "schedule": build("prune", PruneSchedule),
-             "policy": values["monitor"].get("policy", ())}
-    for layer, kind in parts["policy"]:
-        if layer not in LAYERS:
-            errors.append(f"monitor.policy: unknown layer {layer!r}")
-        if kind not in GAP_KINDS:
-            errors.append(f"monitor.policy: unknown gap kind {kind!r}")
+             "policy": build("monitor", check_policy)}
 
     if errors:  # a refused seed is logged by [noise] and [train] alike; list it once
         raise ConfigError("; ".join(dict.fromkeys(errors)))

@@ -10,8 +10,9 @@ annotated with the first zero crossing of each spectral gap.
 Runs are deterministic for the same seed and the same numeric
 environment, and resumable: RunDirectory alone decides what a run
 directory holds and how much of it a restarted run keeps.  This module
-is the only place that splits the data and trains the dense model, for
-library and CLI callers alike.
+is the only place that checks a run's arguments, splits the data, seeds
+and trains the dense model (start_run, train_dense), for library and CLI
+callers alike.
 """
 
 from __future__ import annotations
@@ -89,22 +90,21 @@ class PruneRecord:
         return _gap(self.reports, layer, kind)
 
 
-def _split_kind(kind: str) -> tuple[str, str]:
-    if kind not in GAP_KINDS:
-        raise DomainError(f"unknown gap kind {kind!r}; expected one of {GAP_KINDS}")
-    mode, attr = kind.split("_", 1)
-    return mode, attr
-
-
 def _gap(reports, layer: str, kind: str) -> float:
-    mode, attr = _split_kind(kind)
+    check_policy([(layer, kind)])
+    mode, attr = kind.split("_", 1)
     return getattr(reports[layer][mode], attr)
 
 
-def _check_layer(layer: str) -> str:
-    if layer not in LAYERS:
-        raise DomainError(f"unknown layer {layer!r}; expected one of {LAYERS}")
-    return layer
+def check_policy(policy=()):
+    """``policy`` if each (layer, gap kind) pair names a layer of LAYERS and
+    a kind of GAP_KINDS; else one DomainError naming every bad name as
+    ``policy: reason``.  The one rule for (layer, gap kind) pairs: a
+    [monitor] policy, a run_imp policy and every gap lookup."""
+    check_fields([check for layer, kind in policy for check in (
+        ("policy", layer in LAYERS, f"unknown layer {layer!r}"),
+        ("policy", kind in GAP_KINDS, f"unknown gap kind {kind!r}"))])
+    return policy
 
 
 def magnitude_prune(W: np.ndarray, mask: np.ndarray, q: float) -> np.ndarray:
@@ -179,8 +179,6 @@ def first_zero_crossing(values) -> int | None:
 
 def detect_zero_crossing(records: list[PruneRecord], layer: str, kind: str) -> int | None:
     """Round of the first zero crossing of one layer's gap, or None."""
-    _check_layer(layer)
-    _split_kind(kind)
     if not records:
         raise DomainError("trajectory is empty")
     idx = first_zero_crossing([r.gap(layer, kind) for r in records])
@@ -352,11 +350,15 @@ class RunDirectory:
             f.write(_record_line(record))
 
 
-def split_dataset(dataset: SequenceDataset, seed: int,
-                  noise: NoiseSpec | None = None) -> tuple[SequenceDataset, SequenceDataset]:
-    """The seeded train/test split (TEST_FRACTION held out), then ``noise``
-    applied to the split or splits its ``apply_to`` names."""
-    train_ds, test_ds = train_test_split(dataset, TEST_FRACTION, seed=seed)
+def start_run(config: TrainConfig, dataset: SequenceDataset, cell_kind: str, hidden_size: int,
+              noise: NoiseSpec | None = None, policy=()):
+    """What a run starts from, every argument checked before any file exists:
+    the policy (check_policy), the seeded train/test split (TEST_FRACTION
+    held out) with ``noise`` applied to the split or splits its
+    ``apply_to`` names, and the initial model seeded from config.seed.
+    Returns (train, test, initial)."""
+    check_policy(policy)
+    train_ds, test_ds = train_test_split(dataset, TEST_FRACTION, seed=config.seed)
     if train_ds.n == 0 or test_ds.n == 0:
         raise DomainError(f"dataset of {dataset.n} samples leaves an empty train or test split")
     if noise is not None:
@@ -364,7 +366,9 @@ def split_dataset(dataset: SequenceDataset, seed: int,
             train_ds = add_noise(train_ds, noise)
         if noise.apply_to in ("both", "test"):
             test_ds = add_noise(test_ds, noise)
-    return train_ds, test_ds
+    initial = init_params(dataset.input_size, hidden_size, dataset.class_count,
+                          cell_kind, seed=config.seed)
+    return train_ds, test_ds, initial
 
 
 def train_dense(config: TrainConfig, initial: RecurrentParams,
@@ -390,7 +394,7 @@ def _dataset_digest(dataset: SequenceDataset) -> dict:
 def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDataset,
             *, cell_kind: str = "rnn", hidden_size: int = 128,
             out_dir=None, policy=(), noise: NoiseSpec | None = None) -> list[PruneRecord]:
-    """Full IMP trajectory on the train/test split of ``dataset`` (split_dataset).
+    """Full IMP trajectory on the train/test split of ``dataset``.
 
     Round 0 is the dense baseline after config.train_epochs of training
     (train_dense); each later round prunes both layers to the scheduled
@@ -400,7 +404,8 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
     layer and gap kind) stops the run after the first monitored zero
     crossing.
 
-    ``noise`` perturbs the splits its ``apply_to`` names after splitting.
+    start_run checks the policy, the split and the model spec and applies
+    ``noise``; a refused argument raises before any file or directory exists.
 
     With ``out_dir`` set, every round is appended to that RunDirectory,
     and a rerun resumes after its usable prefix, reproducing an
@@ -411,10 +416,7 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
     directory until it returns or raises, and a second writer meanwhile
     gets OSError(EBUSY).
     """
-    for layer, kind in policy:
-        _check_layer(layer)
-        _split_kind(kind)
-    train_ds, test_ds = split_dataset(dataset, config.seed, noise)
+    train_ds, test_ds, initial = start_run(config, dataset, cell_kind, hidden_size, noise, policy)
 
     run_dir = None
     records: list[PruneRecord] = []
@@ -435,8 +437,6 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
                 "dataset": _dataset_digest(dataset),
             }))
             records, params, mask = run_dir.resume()
-        initial = init_params(dataset.input_size, hidden_size, dataset.class_count,
-                              cell_kind, seed=config.seed)
 
         for round_index in range(len(records), schedule.rounds + 1):
             if stop_criterion(records, policy):

@@ -361,7 +361,7 @@ def test_error_lines_are_exact(tmp_path, capsys, monkeypatch):
     config_path = tmp_path / "exp.ini"
     config_path.write_text(CONFIG.format(out=""))
     code, _, err = run_cli(capsys, "prune", "--config", str(config_path))
-    assert (code, err) == (2, "error: ECONFIG: experiment.output_dir missing "
+    assert (code, err) == (2, "error: ECONFIG: experiment.output_dir: missing "
                               "(set it or pass --out)\n")
 
     missing = tmp_path / "nope.ini"

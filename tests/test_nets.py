@@ -264,9 +264,10 @@ def test_clip_gradients_scales_to_max_norm():
     clipped = clip_gradients(grads, total / 2)
     new_total = math.sqrt(sum(float((g * g).sum()) for g in clipped.tensors().values()))
     assert abs(new_total - total / 2) < 1e-9
-    untouched = clip_gradients(grads, total * 2)
-    for key in grads.tensors():
-        assert np.array_equal(untouched.tensors()[key], grads.tensors()[key])
+    for max_norm in (total * 2, 0.0, -1.0):  # <= 0 turns clipping off
+        untouched = clip_gradients(grads, max_norm)
+        for key in grads.tensors():
+            assert np.array_equal(untouched.tensors()[key], grads.tensors()[key]), max_norm
 
 
 def _random_case(cell, k, batch, width, seed, hidden=8, classes=3):

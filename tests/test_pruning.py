@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from expanderprune import pruning
+from expanderprune.config import parse_config
 from expanderprune.data import NoiseSpec, SequenceDataset, synth_task
 from expanderprune.errors import ConfigError, DomainError, FormatError
 from expanderprune.formats import dump_json_line, load_checkpoint
@@ -364,6 +365,48 @@ def test_run_imp_refuses_a_dataset_with_an_empty_split(tmp_path, monkeypatch):
     with pytest.raises(DomainError, match="empty train or test split"):
         run_imp(TrainConfig(seed=3), PruneSchedule(rounds=1), ds, hidden_size=4, out_dir=str(out))
     assert not out.exists()
+
+
+BAD_POLICY = [("w_hy", "delta_t"), ("w_hh", "weighted_delta_s"), ("nope", "unweighted_delta_r")]
+BAD_POLICY_NAMES = ("unknown layer 'w_hy'", "unknown gap kind 'delta_t'", "unknown layer 'nope'")
+
+
+@pytest.mark.parametrize("bad", [
+    {"cell_kind": "gru"},
+    {"hidden_size": 0},
+    {"policy": BAD_POLICY},
+    {"dataset": SequenceDataset(np.zeros((2, 4, 3)), np.array([0, 1]), 2)},
+], ids=["cell-kind", "hidden-size", "policy", "two-samples"])
+def test_a_refused_run_imp_writes_nothing_and_the_corrected_rerun_succeeds(tmp_path, bad):
+    good = {"dataset": synth_task("mean-threshold", 40, 4, 3, seed=3),
+            "cell_kind": "rnn", "hidden_size": 4, "policy": ()}
+    cfg = TrainConfig(seed=3, train_epochs=1, batch_size=20)
+    sched = PruneSchedule(rounds=1, final_fraction=0.5, finetune_epochs=0)
+    out = tmp_path / "run"
+
+    def run(dataset, **kwargs):
+        return run_imp(cfg, sched, dataset, out_dir=str(out), **kwargs)
+
+    with pytest.raises(DomainError):
+        run(**{**good, **bad})
+    assert not out.exists()
+    assert [record.round for record in run(**good)] == [0, 1]
+    assert len(load_run_trajectory(out / "trajectory.jsonl")) == 2
+
+
+def test_config_run_imp_and_detect_zero_crossing_name_the_same_bad_policy_names():
+    text = "[monitor]\npolicy = " + ", ".join(f"{l}:{k}" for l, k in BAD_POLICY) + "\n"
+    with pytest.raises(ConfigError) as config_error:
+        parse_config(text)
+    assert str(config_error.value) == "; ".join(f"monitor.policy: {n}" for n in BAD_POLICY_NAMES)
+    ds = synth_task("mean-threshold", 40, 4, 3, seed=3)
+    with pytest.raises(DomainError) as run_error:
+        run_imp(TrainConfig(seed=3), PruneSchedule(rounds=1), ds, policy=BAD_POLICY)
+    assert run_error.value.fields == tuple(("policy", n) for n in BAD_POLICY_NAMES)
+    with pytest.raises(DomainError) as detect_error:
+        detect_zero_crossing(trajectory_from_gaps("weighted_delta_s", [0.1]), "w_hy", "delta_t")
+    assert detect_error.value.fields == (("policy", "unknown layer 'w_hy'"),
+                                         ("policy", "unknown gap kind 'delta_t'"))
 
 
 def test_run_imp_deterministic_bytes(tmp_path):
