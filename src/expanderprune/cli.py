@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: analyze | prune | unroll | report | train.  Input matrices
-come either as matx text files or RPRM checkpoints (detected by magic).
-Relative output paths resolve under $EXP_HOME when it is set.  Every
-error exits nonzero with a single machine-parsable line on stderr:
+come either as matx text files or RPRM checkpoints (detected by magic),
+and analyze and unroll read both through one block walker.  unroll takes
+a checkpoint's time-step blocks: the RNN's W_hh, or each LSTM gate block
+of W_hh, with its mask applied.  Relative output paths resolve under
+$EXP_HOME when it is set.  Every error, out-of-memory included, exits
+nonzero with a single machine-parsable line on stderr:
 
     error: <CODE>: <message>
 """
@@ -31,6 +34,7 @@ from .formats import (
     save_checkpoint,
 )
 from .graphs import MODES, build_bipartite, spectral_gaps
+from .linalg import as_dense_matrix
 from .nets import GATES, LSTM, evaluate
 from .pruning import (
     GAP_KINDS,
@@ -58,11 +62,6 @@ def _resolve_out(path: str) -> str:
         return path
     root = os.environ.get("EXP_HOME", "")
     return os.path.join(root, path) if root else path
-
-
-def _is_checkpoint(path: str) -> bool:
-    with open(path, "rb") as f:
-        return f.read(4) == CHECKPOINT_MAGIC
 
 
 def _print_json(obj) -> None:
@@ -93,26 +92,35 @@ def _naming_input(command):
     return run
 
 
+def _blocks(path, layers, per_gate):
+    """Each (label, weights, keep) block at ``path``: a matx file's one matrix (keep None),
+    or each of ``layers`` of an RPRM checkpoint, then its LSTM gates if ``per_gate``."""
+    with open(path, "rb") as f:
+        if f.read(4) != CHECKPOINT_MAGIC:
+            return [("matrix", load_matrix_text(path), None)]
+    params, mask = load_checkpoint(path)
+    H = params.hidden_size
+    gates = enumerate(GATES) if per_gate and params.cell_kind == LSTM else ()
+    parts = [("", slice(None))] + [(f"[{gate}]", slice(g * H, (g + 1) * H)) for g, gate in gates]
+    return [(layer + suffix, getattr(params, layer)[rows], getattr(mask, layer)[rows])
+            for layer in layers for suffix, rows in parts]
+
+
+def _print_reported(out, entries) -> int:
+    """Print ``out``, or refuse it when each of its ``entries`` is an EDEGENERATE one."""
+    if all("error" in entry for entry in entries):
+        raise DegenerateGraphError("graph has no edges")
+    _print_json(out)
+    return 0
+
+
 @_naming_input
 def cmd_analyze(args) -> int:
     modes = _MODE_FLAGS[args.mode]
-    reports = []
-    if _is_checkpoint(args.path):
-        params, mask = load_checkpoint(args.path)
-        for layer in _LAYER_FLAGS[args.layer]:
-            weights, keep = getattr(params, layer), getattr(mask, layer)
-            reports += _block_reports(weights, keep, modes, layer)
-            if args.per_gate and params.cell_kind == LSTM:
-                H = params.hidden_size
-                for g_index, gate in enumerate(GATES):
-                    rows = slice(g_index * H, (g_index + 1) * H)
-                    reports += _block_reports(weights[rows], keep[rows], modes, f"{layer}[{gate}]")
-    else:
-        reports += _block_reports(load_matrix_text(args.path), None, modes, "matrix")
-    if all("error" in report for report in reports):
-        raise DegenerateGraphError("graph has no edges")
-    _print_json({"source": args.path, "reports": reports})
-    return 0
+    reports = [report for label, weights, keep in
+               _blocks(args.path, _LAYER_FLAGS[args.layer], args.per_gate)
+               for report in _block_reports(weights, keep, modes, label)]
+    return _print_reported({"source": args.path, "reports": reports}, reports)
 
 
 def _build_dataset(cfg: ExperimentConfig):
@@ -186,23 +194,33 @@ def cmd_train(args) -> int:
     return 0
 
 
-@_naming_input
-def cmd_unroll(args) -> int:
-    spec = UnrolledSpec(load_matrix_text(args.path), args.k)
+def _unrolled(B, args) -> dict:
+    spec = UnrolledSpec(B, args.k)
     spectrum = unrolled_spectrum(spec)
-    out = {
-        "source": args.path,
-        "k": args.k,
-        "dimension": spec.dim,
-        "spectrum": [float(v) for v in spectrum],
-        "reports": [asdict(unrolled_gap_report(spec, mode)) for mode in _MODE_FLAGS[args.mode]],
-    }
+    out = {"dimension": spec.dim, "spectrum": [float(v) for v in spectrum],
+           "reports": [asdict(unrolled_gap_report(spec, mode)) for mode in _MODE_FLAGS[args.mode]]}
     if args.closed_form:
         closed = closed_form_spectrum(spec)
         out["closed_form"] = [float(v) for v in closed]
         out["max_deviation"] = float(np.max(np.abs(closed - spectrum)))
-    _print_json(out)
-    return 0
+    return out
+
+
+@_naming_input
+def cmd_unroll(args) -> int:
+    """A matx block's unrolled chain, or one entry for each time-step block
+    of a checkpoint's masked W_hh: the RNN's W_hh or each LSTM gate block."""
+    (_, B, keep), *gates = _blocks(args.path, ("w_hh",), per_gate=True)
+    if keep is None:
+        _print_json({"source": args.path, "k": args.k, **_unrolled(B, args)})
+        return 0
+    entries = []
+    for label, weights, kept in gates or [("w_hh", B, keep)]:
+        try:  # non-finite weights are refused before a mask could turn them into NaN
+            entries.append({"layer": label, **_unrolled(as_dense_matrix(weights) * kept, args)})
+        except DegenerateGraphError as exc:
+            entries.append({"layer": label, "error": exc.code})
+    return _print_reported({"source": args.path, "k": args.k, "blocks": entries}, entries)
 
 
 def cmd_report(args) -> int:
@@ -270,6 +288,9 @@ def main(argv=None) -> int:
         code = errno.errorcode.get(exc.errno, "EIO")
         where = "" if exc.filename is None else f"{exc.filename}: "
         print(f"error: {code}: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: ENOMEM: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ValueError as exc:
         code = getattr(type(exc), "code", "EINVAL")

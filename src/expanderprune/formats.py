@@ -195,5 +195,5 @@ def dump_json_line(record: dict) -> str:
 def parse_json_line(line: str, path="<string>", line_no: int = 0):
     try:
         return restore_json(json.loads(line))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: line {line_no}: {exc}") from None

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from expanderprune import pruning
 from expanderprune.cli import main
 from expanderprune.formats import dump_json_line, load_checkpoint, save_checkpoint, save_matrix_text
 from expanderprune.nets import LSTM, PruneMask, init_params
@@ -237,6 +238,53 @@ def test_analyze_and_unroll_refuse_an_edgeless_block_with_one_code(tmp_path, cap
         assert err.startswith(f"error: EDEGENERATE: {path}: ") and err.count("\n") == 1, err
 
 
+def test_unroll_gives_each_gate_block_of_a_checkpoint_the_entry_of_its_matx_export(
+        tmp_path, capsys):
+    params = init_params(3, 4, 2, LSTM, seed=1)
+    mask = PruneMask.full(params)
+    mask.w_hh[0, :2] = False
+    mask.w_hh[4:8] = False  # W_hh's f gate keeps no edge
+    ckpt = tmp_path / "lstm.ckpt"
+    save_checkpoint(ckpt, params, mask)
+    code, out, err = run_cli(capsys, "unroll", str(ckpt), "--k", "3")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["source"], payload["k"]) == (str(ckpt), 3)
+    masked = params.w_hh * mask.w_hh
+    for g, (gate, entry) in enumerate(zip("ifgo", payload["blocks"], strict=True)):
+        block = tmp_path / f"w_hh_{gate}.matx"
+        save_matrix_text(masked[4 * g:4 * (g + 1)], block)
+        code, out, err = run_cli(capsys, "unroll", str(block), "--k", "3")
+        if gate == "f":
+            assert entry == {"layer": "w_hh[f]", "error": "EDEGENERATE"}
+            assert (code, out) == (2, "") and err.startswith(f"error: EDEGENERATE: {block}: ")
+        else:
+            expected = json.loads(out)
+            del expected["source"], expected["k"]
+            assert entry == {"layer": f"w_hh[{gate}]", **expected}
+
+
+def test_unroll_refuses_a_checkpoint_where_it_refuses_its_exported_block(tmp_path, capsys):
+    params = init_params(3, 64, 2, "rnn", seed=0)
+    mask = PruneMask.full(params)
+    ckpt, block = tmp_path / "rnn.ckpt", tmp_path / "w_hh.matx"
+    save_checkpoint(ckpt, params, mask)
+    save_matrix_text(params.w_hh, block)
+    code, out, err = run_cli(capsys, "unroll", str(ckpt), "--k", "1", "--mode", "weighted")
+    assert (code, err) == (0, "")
+    assert [entry["layer"] for entry in json.loads(out)["blocks"]] == ["w_hh"]
+    for argv in (["--k", "0"], ["--k", "64"], ["--k", "2", "--closed-form"]):
+        (code, out, err), exported = (run_cli(capsys, "unroll", str(path), *argv)
+                                      for path in (ckpt, block))
+        assert (code, out) == (2, "") and err.split(": ")[1] in ("EDOMAIN", "ESIZE"), err
+        assert exported == (code, out, err.replace(str(ckpt), str(block)))
+    # With no block left that has an edge, there is nothing to report.
+    mask.w_hh[:] = False
+    save_checkpoint(ckpt, params, mask)
+    code, out, err = run_cli(capsys, "unroll", str(ckpt), "--k", "2")
+    assert (code, out, err) == (2, "", f"error: EDEGENERATE: {ckpt}: graph has no edges\n")
+
+
 def test_prune_train_report_end_to_end(tmp_path, capsys):
     config_path = tmp_path / "exp.ini"
     out_dir = tmp_path / "run"
@@ -378,6 +426,51 @@ def test_error_lines_are_exact(tmp_path, capsys, monkeypatch):
     empty.write_text("")
     code, _, err = run_cli(capsys, "report", str(empty))
     assert (code, err) == (2, f"error: EDOMAIN: {empty}: trajectory is empty\n")
+
+
+@pytest.mark.parametrize("target, exc, line", [
+    ("pruning.init_params", MemoryError("Unable to allocate 298. GiB for an array"),
+     "error: ENOMEM: Unable to allocate 298. GiB for an array\n"),
+    ("cli.synth_task", MemoryError(), "error: ENOMEM: out of memory\n"),
+], ids=["init-params", "synth-task"])
+def test_running_out_of_memory_is_one_enomem_line_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, target, exc, line):
+    # The allocation fails by monkeypatch; nothing is ever allocated for real.
+    def allocate(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(f"expanderprune.{target}", allocate)
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "run"))
+    for command in ("prune", "train"):
+        code, out, err = run_cli(capsys, command, "--config", str(config_path))
+        assert (code, out, err) == (2, "", line)
+        assert list(tmp_path.iterdir()) == [config_path]
+
+
+def test_a_run_out_of_memory_mid_round_resumes_to_the_uninterrupted_bytes(
+        tmp_path, capsys, monkeypatch):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "whole"))
+    assert run_cli(capsys, "prune", "--config", str(config_path))[0] == 0
+    real_train = pruning.train
+
+    def train(*args, stream, **kwargs):
+        if stream == (pruning._STREAM_FINETUNE, 2):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+        return real_train(*args, stream=stream, **kwargs)
+
+    resume = ["prune", "--config", str(config_path), "--out", str(tmp_path / "cut")]
+    monkeypatch.setattr(pruning, "train", train)
+    code, out, err = run_cli(capsys, *resume)
+    assert (code, out, err) == (2, "", "error: ENOMEM: Unable to allocate 8.00 GiB for an array\n")
+    assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == [
+        "round_000.ckpt", "round_001.ckpt", "run.lock", "run_config.json", "trajectory.jsonl"]
+    monkeypatch.setattr(pruning, "train", real_train)
+    assert run_cli(capsys, *resume)[0] == 0
+    whole, cut = (sorted((p.name, p.read_bytes()) for p in (tmp_path / name).iterdir())
+                  for name in ("whole", "cut"))
+    assert cut == whole
 
 
 @pytest.mark.parametrize("argv, source", [

@@ -1,7 +1,8 @@
 """Property tests: a damaged checkpoint or arbitrary matx bytes either
-analyze cleanly or fail with one coded error line, never a traceback;
-a damaged trajectory is read by report and resume through one rule; and
-a damaged config, CSV or IDX input loads or raises one coded error."""
+analyze and unroll cleanly or fail with one coded error line, never a
+traceback; a damaged trajectory is read by report and resume through one
+rule; and a damaged config, CSV or IDX input loads or raises one coded
+error."""
 
 import contextlib
 import functools
@@ -94,11 +95,12 @@ def _assert_exit_contract(code: int, out: str, err: str) -> None:
 
 
 def _assert_analyze_contract(data: bytes) -> None:
-    """analyze --per-gate on ``data`` keeps _assert_exit_contract."""
+    """analyze --per-gate and unroll --k 2 on ``data`` keep _assert_exit_contract."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
         path.write_bytes(data)
         _assert_exit_contract(*_quiet_main(["analyze", str(path), "--per-gate"]))
+        _assert_exit_contract(*_quiet_main(["unroll", str(path), "--k", "2"]))
 
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -179,12 +181,14 @@ _line_mutations = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 2**16), st.just(0)),
     st.tuples(st.sampled_from(["drop", "duplicate", "blank"]), _line_index, st.just(0)),
     st.tuples(st.just("swap"), _line_index, _line_index),
+    st.tuples(st.just("nest"), _line_index, st.integers(1, 100_000)),
 )
 
 
 def _mutate_lines(data: bytes, mutation) -> bytes:
     """``data`` with one byte flipped, cut short, or one line dropped,
-    duplicated, swapped with another or preceded by a blank line."""
+    duplicated, swapped with another, preceded by a blank line or replaced
+    by ``b`` nested JSON arrays."""
     kind, a, b = mutation
     if kind in ("flip", "truncate"):
         if not data:
@@ -194,6 +198,9 @@ def _mutate_lines(data: bytes, mutation) -> bytes:
     lines = data.splitlines(keepends=True)
     if not lines:
         return data
+    if kind == "nest":
+        lines[a % len(lines)] = b"[" * b + b"]" * b + b"\n"
+        return b"".join(lines)
     a, b = a % len(lines), b % len(lines)
     if kind == "drop":
         del lines[a]
@@ -212,6 +219,7 @@ def _mutate_lines(data: bytes, mutation) -> bytes:
 @example([("duplicate", 1, 0)])
 @example([("blank", 1, 0)])
 @example([("truncate", -1, 0)])  # the last line loses its newline
+@example([("nest", 1, 100_000)])  # deeper than the parser's recursion limit
 def test_mutated_trajectory_lines_report_and_resume_by_one_rule(mutations):
     # report and a resuming prune read the lines by one rule: report
     # accepts a file exactly when resume keeps every one of its lines.

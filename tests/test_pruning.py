@@ -10,7 +10,7 @@ from expanderprune.data import NoiseSpec, SequenceDataset, synth_task
 from expanderprune.errors import ConfigError, DomainError, FormatError
 from expanderprune.formats import dump_json_line, load_checkpoint
 from expanderprune.graphs import SpectralReport
-from expanderprune.nets import TrainConfig, apply_mask, init_params
+from expanderprune.nets import LSTM, TrainConfig, apply_mask, init_params
 from expanderprune.pruning import (
     GAP_KINDS,
     LAYERS,
@@ -225,14 +225,18 @@ def test_rewind_to_init_starts_every_round_from_the_masked_initial_weights(tmp_p
     ds = synth_task("running-parity", 80, 4, 3, seed=6)
     cfg = TrainConfig(seed=6, train_epochs=2, batch_size=20)
     sched = PruneSchedule(rounds=3, final_fraction=0.1, finetune_epochs=0, rewind_to_init=True)
-    run_imp(cfg, sched, ds, cell_kind="rnn", hidden_size=6, out_dir=str(tmp_path))
-    initial = init_params(3, 6, 2, "rnn", seed=6)
-    for round_index in (1, 2, 3):
-        params, mask = load_checkpoint(tmp_path / f"round_{round_index:03d}.ckpt")
-        assert mask.kept_fraction("w_hh") == math.ceil(sched.keep_fraction(round_index) * 36) / 36
-        expected = apply_mask(initial, mask).tensors()
-        for name, tensor in params.tensors().items():
-            assert np.array_equal(tensor, expected[name]), (round_index, name)
+    for cell_kind, hidden in (("rnn", 6), (LSTM, 4)):
+        out = tmp_path / cell_kind
+        run_imp(cfg, sched, ds, cell_kind=cell_kind, hidden_size=hidden, out_dir=str(out))
+        initial = init_params(3, hidden, 2, cell_kind, seed=6)
+        for round_index in (1, 2, 3):
+            params, mask = load_checkpoint(out / f"round_{round_index:03d}.ckpt")
+            size = mask.w_hh.size
+            kept = math.ceil(sched.keep_fraction(round_index) * size) / size
+            assert mask.kept_fraction("w_hh") == kept
+            expected = apply_mask(initial, mask).tensors()
+            for name, tensor in params.tensors().items():
+                assert np.array_equal(tensor, expected[name]), (cell_kind, round_index, name)
 
 
 def test_run_imp_stop_policy_halts_early():
