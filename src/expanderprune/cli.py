@@ -5,8 +5,9 @@ come either as matx text files or RPRM checkpoints (detected by magic),
 and analyze and unroll read both through one block walker.  unroll takes
 a checkpoint's time-step blocks: the RNN's W_hh, or each LSTM gate block
 of W_hh, with its mask applied.  Relative output paths resolve under
-$EXP_HOME when it is set.  Every error, out-of-memory included, exits
-nonzero with a single machine-parsable line on stderr:
+$EXP_HOME when it is set.  Every error, a usage error, out-of-memory and
+an interrupt included, exits nonzero with a single machine-parsable line
+on stderr:
 
     error: <CODE>: <message>
 """
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, load_config
 from .data import load_csv_sequences, load_idx_images, synth_task
-from .errors import ConfigError, DegenerateGraphError, DomainError
+from .errors import ConfigError, DegenerateGraphError, DomainError, UsageError
 from .formats import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
@@ -85,7 +86,7 @@ def _naming_input(command):
     def run(args) -> int:
         try:
             return command(args)
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             if str(exc).startswith(f"{args.path}: "):
                 raise
             raise type(exc)(f"{args.path}: {exc}") from None
@@ -233,8 +234,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as one EUSAGE line, for this parser and its subparsers."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expanderprune",
         description="Expander-graph diagnostics and iterative magnitude pruning "
                     "for recurrent networks",
@@ -278,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: ENOENT: {exc.filename}: no such file", file=sys.stderr)
@@ -291,6 +299,12 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: ENOMEM: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: EINTR: interrupted", file=sys.stderr)
+        return 130
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"error: ENUMERIC: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         code = getattr(type(exc), "code", "EINVAL")

@@ -46,6 +46,12 @@ class DegenerateGraphError(ValueError):
     code = "EDEGENERATE"
 
 
+class UsageError(ValueError):
+    """The command line does not parse: a missing, unknown or ill-typed argument."""
+
+    code = "EUSAGE"
+
+
 class ConfigError(ValueError):
     """Experiment configuration failed validation.
 

@@ -15,14 +15,25 @@ from .errors import DomainError, ShapeError
 
 SYMMETRY_ATOL = 1e-12
 
+# A bipartite graph's degrees sum to twice its |entries|, and two spectra bounded
+# by twice that differ by at most four times it, so below this no report overflows.
+ABS_SUM_CAP = float(np.finfo(np.float64).max) / 4
+
 
 def as_dense_matrix(data) -> np.ndarray:
-    """Coerce ``data`` to a 2-D float64 array, rejecting NaN/Inf entries."""
+    """Coerce ``data`` to a 2-D float64 array, rejecting NaN/Inf entries and an
+    absolute sum past ABS_SUM_CAP (summed only when size * max|entry| is past it)."""
     M = np.asarray(data, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
         raise ShapeError(f"expected a non-empty 2-D matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise DomainError("matrix contains non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):  # a signalling NaN sets "invalid"
+        if np.maximum(M.max(), -M.min()) <= ABS_SUM_CAP / M.size:  # False for NaN
+            return M
+        if not np.all(np.isfinite(M)):
+            raise DomainError("matrix contains non-finite entries")
+        if not np.abs(M).sum() <= ABS_SUM_CAP:
+            raise DomainError("matrix entries are too large: their absolute sum exceeds "
+                              f"{ABS_SUM_CAP:.4g}")
     return M
 
 

@@ -161,11 +161,16 @@ def _check_sequences(params: RecurrentParams, sequences) -> tuple[np.ndarray, bo
     return xs, single
 
 
-def _check_labels(labels, n: int) -> np.ndarray:
+def _check_batch(params: RecurrentParams, sequences, labels,
+                 what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, k, input) sequences and their n labels; ``what`` names an empty batch."""
+    xs, _ = _check_sequences(params, sequences)
     labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
-    return labels
+    if labels.shape != (xs.shape[0],):
+        raise ShapeError(f"labels shape {labels.shape} does not match batch {xs.shape[0]}")
+    if xs.shape[0] == 0:
+        raise DomainError(f"{what} is empty")
+    return xs, labels
 
 
 def _lstm_cell(z: np.ndarray, c: np.ndarray, H: int):
@@ -232,23 +237,19 @@ def loss_and_grads(params: RecurrentParams, mask: PruneMask, sequences, labels):
     Gradients for masked entries are forced to exactly 0.  Returns
     (loss, grads) with grads shaped like the parameters.
     """
-    xs, _ = _check_sequences(params, sequences)
+    xs, labels = _check_batch(params, sequences, labels, "batch")
     n, k, _ = xs.shape
-    labels = _check_labels(labels, n)
-    if n == 0:
-        raise DomainError("batch is empty")
     H = params.hidden_size
     w_xh = params.w_xh * mask.w_xh
     w_hh = params.w_hh * mask.w_hh
     hs = np.zeros((k + 1, n, H))  # hs[t] = h_t, so hs[0] = h_0 = 0
-    if params.cell_kind == RNN:
-        for t in range(k):
-            np.tanh(xs[:, t] @ w_xh.T + hs[t] @ w_hh.T + params.b_h, out=hs[t + 1])
-    else:
-        cache = []
-        c = hs[0]
-        for t in range(k):
-            z = xs[:, t] @ w_xh.T + hs[t] @ w_hh.T + params.b_h
+    cache = []
+    c = hs[0]
+    for t in range(k):
+        z = xs[:, t] @ w_xh.T + hs[t] @ w_hh.T + params.b_h
+        if params.cell_kind == RNN:
+            np.tanh(z, out=hs[t + 1])
+        else:
             i, f, g, o, c_next, tanh_c = _lstm_cell(z, c, H)
             np.multiply(o, tanh_c, out=hs[t + 1])
             cache.append((i, f, g, o, c, tanh_c))
@@ -262,18 +263,13 @@ def loss_and_grads(params: RecurrentParams, mask: PruneMask, sequences, labels):
     g_w_hh = np.zeros_like(params.w_hh)
     g_b_h = np.zeros_like(params.b_h)
     dh = dlogits @ params.w_hy
-
-    if params.cell_kind == RNN:
-        for t in range(k - 1, -1, -1):
-            dpre = dh * (1.0 - hs[t + 1] ** 2)
-            g_w_xh += dpre.T @ xs[:, t]
-            g_w_hh += dpre.T @ hs[t]
-            g_b_h += dpre.sum(axis=0)
-            dh = dpre @ w_hh
-    else:
-        dc = np.zeros((n, H))
-        dz = np.empty((n, 4 * H))
-        for t in range(k - 1, -1, -1):
+    dc = np.zeros((n, H))
+    dz = np.empty((n, 4 * H))
+    for t in range(k - 1, -1, -1):
+        # dz is the gradient of the pre-activation z_t.
+        if params.cell_kind == RNN:
+            dz = dh * (1.0 - hs[t + 1] ** 2)
+        else:
             i, f, g, o, c_prev, tanh_c = cache[t]
             do = dh * tanh_c
             dc = dc + dh * o * (1.0 - tanh_c ** 2)
@@ -287,11 +283,11 @@ def loss_and_grads(params: RecurrentParams, mask: PruneMask, sequences, labels):
                 axis=1,
                 out=dz,
             )
-            g_w_xh += dz.T @ xs[:, t]
-            g_w_hh += dz.T @ hs[t]
-            g_b_h += dz.sum(axis=0)
-            dh = dz @ w_hh
             dc = dc * f
+        g_w_xh += dz.T @ xs[:, t]
+        g_w_hh += dz.T @ hs[t]
+        g_b_h += dz.sum(axis=0)
+        dh = dz @ w_hh
 
     g_w_xh *= mask.w_xh
     g_w_hh *= mask.w_hh
@@ -354,10 +350,7 @@ def clip_gradients(grads: RecurrentParams, max_norm: float) -> RecurrentParams:
 
 def evaluate(params: RecurrentParams, mask: PruneMask, sequences, labels) -> float:
     """Fraction of sequences whose argmax logit matches the label."""
-    xs, _ = _check_sequences(params, sequences)
-    labels = _check_labels(labels, xs.shape[0])
-    if xs.shape[0] == 0:
-        raise DomainError("dataset is empty")
+    xs, labels = _check_batch(params, sequences, labels, "dataset")
     hits = 0
     for start in range(0, xs.shape[0], 512):
         for h in _hidden_states(params, mask, xs[start:start + 512]):
@@ -375,11 +368,8 @@ def train(params: RecurrentParams, mask: PruneMask, sequences, labels,
     config seed and epoch index to derive each epoch's shuffle, so any
     (seed, stream) pair replays identically.
     """
-    xs, _ = _check_sequences(params, sequences)
+    xs, labels = _check_batch(params, sequences, labels, "training set")
     n = xs.shape[0]
-    labels = _check_labels(labels, n)
-    if n == 0:
-        raise DomainError("training set is empty")
     params = apply_mask(params.copy(), mask)
     state = AdamState.zeros(params)
     for epoch in range(epochs):

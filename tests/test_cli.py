@@ -408,24 +408,58 @@ def test_error_lines_are_exact(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("EXP_HOME", raising=False)
     config_path = tmp_path / "exp.ini"
     config_path.write_text(CONFIG.format(out=""))
-    code, _, err = run_cli(capsys, "prune", "--config", str(config_path))
-    assert (code, err) == (2, "error: ECONFIG: experiment.output_dir: missing "
-                              "(set it or pass --out)\n")
-
     missing = tmp_path / "nope.ini"
-    code, _, err = run_cli(capsys, "train", "--config", str(missing))
-    assert (code, err) == (2, f"error: ENOENT: {missing}: no such file\n")
-
     block = tmp_path / "block.matx"
     save_matrix_text(np.array([[0.0, 1.0], [0.5, 0.0]]), block)
-    code, _, err = run_cli(capsys, "unroll", str(block), "--k", "2", "--closed-form")
-    assert (code, err) == (2, f"error: EDOMAIN: {block}: closed-form spectrum "
-                              "requires a symmetric block\n")
-
+    huge = tmp_path / "huge.matx"
+    huge.write_text("matx 2 2\n1e308 1e308\n1e308 -1e308\n")
+    too_large = "matrix entries are too large: their absolute sum exceeds 4.494e+307"
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    code, _, err = run_cli(capsys, "report", str(empty))
-    assert (code, err) == (2, f"error: EDOMAIN: {empty}: trajectory is empty\n")
+    rows = [
+        (["prune", "--config", str(config_path)],
+         "ECONFIG: experiment.output_dir: missing (set it or pass --out)"),
+        (["train", "--config", str(missing)], f"ENOENT: {missing}: no such file"),
+        (["unroll", str(block), "--k", "2", "--closed-form"],
+         f"EDOMAIN: {block}: closed-form spectrum requires a symmetric block"),
+        (["report", str(empty)], f"EDOMAIN: {empty}: trajectory is empty"),
+        (["analyze", str(huge)], f"EDOMAIN: {huge}: {too_large}"),
+        (["unroll", str(huge), "--k", "2", "--closed-form"], f"EDOMAIN: {huge}: {too_large}"),
+        (["unroll", str(block)],
+         "EUSAGE: expanderprune unroll: the following arguments are required: --k"),
+        (["unroll", str(block), "--k", "two"],
+         "EUSAGE: expanderprune unroll: argument --k: invalid int value: 'two'"),
+        ([], "EUSAGE: expanderprune: the following arguments are required: command"),
+    ]
+    for argv, line in rows:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("target, fake, argv, code, line", [
+    ("linalg.np.linalg.eigvalsh", lambda M: np.array([-3.0, 3.0]),
+     ["unroll", "{block}", "--k", "2", "--closed-form"],
+     2, "ENUMERIC: {block}: eigensolver violated the Gershgorin row-sum bound"),
+    ("linalg.np.linalg.svd", _raising(np.linalg.LinAlgError("SVD did not converge")),
+     ["analyze", "{block}"], 2, "ENUMERIC: {block}: SVD did not converge"),
+    ("pruning.train", _raising(KeyboardInterrupt()), ["prune", "--config", "{config}"],
+     130, "EINTR: interrupted"),
+], ids=["gershgorin", "linalg-error", "interrupt"])
+def test_a_numerical_failure_or_an_interrupt_is_one_coded_line(
+        tmp_path, capsys, monkeypatch, target, fake, argv, code, line):
+    block = tmp_path / "block.matx"
+    save_matrix_text(np.eye(2), block)
+    config = tmp_path / "exp.ini"
+    config.write_text(CONFIG.format(out=tmp_path / "run"))
+    monkeypatch.setattr(f"expanderprune.{target}", fake)
+    argv = [arg.format(block=block, config=config) for arg in argv]
+    line = line.format(block=block)
+    assert run_cli(capsys, *argv) == (code, "", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("target, exc, line", [
@@ -436,10 +470,7 @@ def test_error_lines_are_exact(tmp_path, capsys, monkeypatch):
 def test_running_out_of_memory_is_one_enomem_line_and_writes_nothing(
         tmp_path, capsys, monkeypatch, target, exc, line):
     # The allocation fails by monkeypatch; nothing is ever allocated for real.
-    def allocate(*args, **kwargs):
-        raise exc
-
-    monkeypatch.setattr(f"expanderprune.{target}", allocate)
+    monkeypatch.setattr(f"expanderprune.{target}", _raising(exc))
     config_path = tmp_path / "exp.ini"
     config_path.write_text(CONFIG.format(out=tmp_path / "run"))
     for command in ("prune", "train"):

@@ -95,12 +95,14 @@ def _assert_exit_contract(code: int, out: str, err: str) -> None:
 
 
 def _assert_analyze_contract(data: bytes) -> None:
-    """analyze --per-gate and unroll --k 2 on ``data`` keep _assert_exit_contract."""
+    """analyze --per-gate, unroll --k 2 and unroll --k 2 --closed-form on ``data``
+    keep _assert_exit_contract."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
         path.write_bytes(data)
         _assert_exit_contract(*_quiet_main(["analyze", str(path), "--per-gate"]))
         _assert_exit_contract(*_quiet_main(["unroll", str(path), "--k", "2"]))
+        _assert_exit_contract(*_quiet_main(["unroll", str(path), "--k", "2", "--closed-form"]))
 
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -124,7 +126,8 @@ def test_mutated_checkpoint_analyzes_or_fails_with_one_coded_line(mutations):
 _matx_text = st.builds(
     lambda rows, cols, tokens, sep: f"matx {rows} {cols}\n".encode() + sep.join(tokens),
     st.integers(-1, 3), st.integers(-1, 3),
-    st.lists(st.sampled_from([b"0", b"1.5", b"-2e3", b"nan", b"inf", b"x", b"\xff", b"\xc2\xa0"]),
+    st.lists(st.sampled_from([b"0", b"1.5", b"-2e3", b"1e308", b"-1e308", b"nan", b"inf", b"x",
+                              b"\xff", b"\xc2\xa0"]),
              max_size=10),
     st.sampled_from([b" ", b"\n", b"\t", b"\xc2\xa0"]),
 )
@@ -133,6 +136,7 @@ _matx_text = st.builds(
 @settings(_SETTINGS, max_examples=200)
 @given(st.one_of(st.binary(max_size=64), _matx_text))
 @example(b"matx 1 1\n\xff\n")
+@example(b"matx 2 2\n1e308 1e308\n1e308 -1e308\n")  # finite, but its degrees overflow
 def test_arbitrary_matx_bytes_analyze_or_fail_with_one_coded_line(data):
     _assert_analyze_contract(data)
 

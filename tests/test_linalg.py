@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from expanderprune.errors import DomainError, ShapeError
-from expanderprune.linalg import bipartite_spectrum, sym_eigenvalues, top_two_singular_values
+from expanderprune.graphs import build_bipartite, spectral_gaps
+from expanderprune.linalg import (
+    ABS_SUM_CAP,
+    as_dense_matrix,
+    bipartite_spectrum,
+    sym_eigenvalues,
+    top_two_singular_values,
+)
+from expanderprune.unrolled import UnrolledSpec, closed_form_spectrum, unrolled_spectrum
 from oracles import bipartite_adjacency, qr_eigenvalues
 
 # qr_eigenvalues output for the seed-88 symmetric 8x8 below, frozen.
@@ -160,3 +170,20 @@ def test_gershgorin_bound_holds():
         M = (M + M.T) / 2
         eigs = sym_eigenvalues(M)
         assert np.max(np.abs(eigs)) <= np.max(np.abs(M).sum(axis=1)) + 1e-9
+
+
+@pytest.mark.parametrize("M", [np.full((1, 1), ABS_SUM_CAP), np.eye(2) * (ABS_SUM_CAP / 2),
+                               np.diag([ABS_SUM_CAP, -1e-300])],
+                         ids=["one-entry", "two-entries", "tiny-beside-large"])
+def test_a_matrix_up_to_the_absolute_sum_cap_is_accepted_and_none_past_it(M):
+    # pytest fails on a RuntimeWarning, so no report below overflows.
+    assert as_dense_matrix(M) is M
+    report = spectral_gaps(build_bipartite(M))
+    assert math.isfinite(report.lambda1) and math.isfinite(report.d_avg)
+    spec = UnrolledSpec(M, 1)
+    assert math.isfinite(np.max(np.abs(closed_form_spectrum(spec) - unrolled_spectrum(spec))))
+    past = M.copy()
+    past.flat[0] = np.nextafter(past.flat[0], np.inf)
+    with pytest.raises(DomainError) as info:
+        as_dense_matrix(past)
+    assert str(info.value) == "matrix entries are too large: their absolute sum exceeds 4.494e+307"

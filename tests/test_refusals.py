@@ -15,6 +15,7 @@ from expanderprune.nets import (
     PruneMask,
     TrainConfig,
     adam_step,
+    evaluate,
     forward,
     gate_rows,
     init_params,
@@ -32,6 +33,7 @@ from expanderprune.unrolled import UnrolledSpec
 PARAMS = init_params(3, 4, 2, seed=0)
 MASK = PruneMask.full(PARAMS)
 NO_SEQUENCES = np.zeros((0, 2, 3))
+TWO_SEQUENCES = np.zeros((2, 2, 3))
 
 
 def _write(tmp, name, text):
@@ -127,11 +129,20 @@ CASES = [
      ShapeError, "sequences must be (n, k, input) with k >= 1, got (1, 0, 3)"),
     ("empty-batch", lambda tmp: loss_and_grads(PARAMS, MASK, NO_SEQUENCES, np.zeros(0)),
      DomainError, "batch is empty"),
+    ("batch-label-count", lambda tmp: loss_and_grads(PARAMS, MASK, TWO_SEQUENCES, np.zeros(3)),
+     ShapeError, "labels shape (3,) does not match batch 2"),
+    ("empty-dataset", lambda tmp: evaluate(PARAMS, MASK, NO_SEQUENCES, np.zeros(0)),
+     DomainError, "dataset is empty"),
+    ("evaluate-label-count", lambda tmp: evaluate(PARAMS, MASK, TWO_SEQUENCES, np.zeros((2, 1))),
+     ShapeError, "labels shape (2, 1) does not match batch 2"),
     ("adam-shape", lambda tmp: _wrong_gradient_shape(),
      ShapeError, "gradient shape mismatch for w_xh"),
     ("empty-training-set",
      lambda tmp: train(PARAMS, MASK, NO_SEQUENCES, np.zeros(0), TrainConfig(), 1, stream=(0,)),
      DomainError, "training set is empty"),
+    ("training-set-label-count",
+     lambda tmp: train(PARAMS, MASK, TWO_SEQUENCES, [0], TrainConfig(), 1, stream=(0,)),
+     ShapeError, "labels shape (1,) does not match batch 2"),
     # pruning
     ("finetune-epochs", lambda tmp: PruneSchedule(finetune_epochs=-1),
      DomainError, "finetune_epochs: must be >= 0"),
