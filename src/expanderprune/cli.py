@@ -69,16 +69,13 @@ def _print_json(obj) -> None:
     print(json.dumps(sanitize_json(obj), indent=2, sort_keys=True))
 
 
-def _block_reports(weights, mask, modes, label):
-    """Each mode's report of one block, or an EDEGENERATE entry in place of
-    each report of a block that has no edges.  One mode's graph is built
-    at a time, so one copy of the block is alive beside the weights."""
-    reports = []
-    for mode in modes:
-        g = build_bipartite(weights, mask, mode)
-        reports.append({"layer": label, "mode": mode, "error": DegenerateGraphError.code}
-                       if g.degenerate else {"layer": label, **asdict(spectral_gaps(g))})
-    return reports
+def _entry(fields, report) -> dict:
+    """A block's ``fields`` with the dict ``report()`` returns, or with an
+    EDEGENERATE error in its place when the block has no edges."""
+    try:
+        return {**fields, **report()}
+    except DegenerateGraphError as exc:
+        return {**fields, "error": exc.code}
 
 
 def _naming_input(command):
@@ -117,10 +114,12 @@ def _print_reported(out, entries) -> int:
 
 @_naming_input
 def cmd_analyze(args) -> int:
-    modes = _MODE_FLAGS[args.mode]
-    reports = [report for label, weights, keep in
+    # One mode's graph is built at a time: one copy of the block beside the weights.
+    reports = [_entry({"layer": label, "mode": mode},
+                      lambda: asdict(spectral_gaps(build_bipartite(weights, keep, mode))))
+               for label, weights, keep in
                _blocks(args.path, _LAYER_FLAGS[args.layer], args.per_gate)
-               for report in _block_reports(weights, keep, modes, label)]
+               for mode in _MODE_FLAGS[args.mode]]
     return _print_reported({"source": args.path, "reports": reports}, reports)
 
 
@@ -215,12 +214,9 @@ def cmd_unroll(args) -> int:
     if keep is None:
         _print_json({"source": args.path, "k": args.k, **_unrolled(B, args)})
         return 0
-    entries = []
-    for label, weights, kept in gates or [("w_hh", B, keep)]:
-        try:  # non-finite weights are refused before a mask could turn them into NaN
-            entries.append({"layer": label, **_unrolled(as_dense_matrix(weights) * kept, args)})
-        except DegenerateGraphError as exc:
-            entries.append({"layer": label, "error": exc.code})
+    # non-finite weights are refused before a mask could turn them into NaN
+    entries = [_entry({"layer": label}, lambda: _unrolled(as_dense_matrix(weights) * kept, args))
+               for label, weights, kept in gates or [("w_hh", B, keep)]]
     return _print_reported({"source": args.path, "k": args.k, "blocks": entries}, entries)
 
 

@@ -109,12 +109,10 @@ class ExperimentConfig:
 
 
 def _boolean(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 # Converters by annotated type name (every module here postpones annotations).

@@ -1,8 +1,8 @@
 """Bipartite layer graphs and their expansion diagnostics.
 
 A network layer with weight matrix W and prune mask M becomes a
-bipartite graph whose biadjacency holds |w| (weighted mode) or a 0/1
-support indicator (unweighted mode).  From that graph we compute:
+bipartite graph, refused when it has no edge, whose biadjacency holds
+|w| (weighted mode) or 0/1 support (unweighted mode).  We compute:
 
 * the top two singular values sigma1 >= sigma2, which are the two
   largest adjacency eigenvalues of the bipartite graph,
@@ -50,11 +50,14 @@ _BRUTE_FORCE_CAP = 20
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Non-negative biadjacency plus the mode it was built in."""
+    """Non-negative biadjacency with at least one edge, plus the mode it was built in."""
 
     biadjacency: np.ndarray
     mode: str
-    degenerate: bool  # True iff the graph has no edges
+
+    def __post_init__(self):
+        if not self.biadjacency.any():
+            raise DegenerateGraphError("graph has no edges")
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ def build_bipartite(W, mask=None, mode: str = WEIGHTED) -> BipartiteGraph:
         biadj = np.abs(W) * mask
     else:
         biadj = ((W != 0) & mask).astype(np.float64)
-    return BipartiteGraph(biadj, mode, degenerate=not biadj.any())
+    return BipartiteGraph(biadj, mode)
 
 
 def degree_stats(g: BipartiteGraph) -> DegreeStats:
@@ -170,8 +173,6 @@ def _assemble_report(mode: str, lambda1: float, lambda2: float,
 
 def spectral_gaps(g: BipartiteGraph) -> SpectralReport:
     """Full spectral report of a layer graph (lambda1 = sigma1(B) etc.)."""
-    if g.degenerate:
-        raise DegenerateGraphError("graph has no edges")
     s1, s2 = top_two_singular_values(g.biadjacency)
     stats = degree_stats(g)
     alpha2 = normalized_laplacian_alpha2(g)

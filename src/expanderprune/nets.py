@@ -177,9 +177,11 @@ def _lstm_cell(z: np.ndarray, c: np.ndarray, H: int):
     """Gates (i, f, g, o), the new cell state and its tanh from pre-activations z.
 
     Every sigmoid is 1 / (1 + exp(-z)) elementwise, with the exp taken once
-    over the whole (n, 4H) row.
+    over the whole (n, 4H) row.  An exp that overflows to inf gives exactly
+    the saturated gate value 0, so its overflow is no fault.
     """
-    e = 1.0 + np.exp(-z)
+    with np.errstate(over="ignore"):
+        e = 1.0 + np.exp(-z)
     i = 1.0 / e[:, :H]
     f = 1.0 / e[:, H:2 * H]
     g = np.tanh(z[:, 2 * H:3 * H])

@@ -63,18 +63,13 @@ def _polyline(points, color, dasharray=""):
 
 def trajectory_table(records: list[PruneRecord]) -> tuple[list[str], list[list]]:
     """Header and rows of the plotted quantities, one row per record."""
-    header = ["round", "q_w_xh_pct", "q_w_hh_pct", "test_accuracy"]
+    header = ["round", *(f"q_{layer}_pct" for layer in LAYERS), "test_accuracy"]
     for layer in LAYERS:
         for kind in GAP_KINDS:
             header.append(f"{layer}_{kind}")
     rows = []
     for record in records:
-        row = [
-            record.round,
-            100.0 * record.q["w_xh"],
-            100.0 * record.q["w_hh"],
-            record.test_accuracy,
-        ]
+        row = [record.round, *(100.0 * record.q[layer] for layer in LAYERS), record.test_accuracy]
         for layer in LAYERS:
             for kind in GAP_KINDS:
                 row.append(record.gap(layer, kind))

@@ -174,7 +174,7 @@ def test_criterion_7_ramanujan_prevalence():
     positive = 0
     for _ in range(100):
         biadj = random_regular_bipartite(rng, 64, 3)
-        report = spectral_gaps(BipartiteGraph(biadj, UNWEIGHTED, degenerate=False))
+        report = spectral_gaps(BipartiteGraph(biadj, UNWEIGHTED))
         assert report.d_avg == 3.0
         if report.delta_r > 0:
             positive += 1

@@ -234,8 +234,7 @@ def test_analyze_and_unroll_refuse_an_edgeless_block_with_one_code(tmp_path, cap
     save_matrix_text(np.zeros((2, 2)), path)
     for argv in (["analyze", str(path)], ["unroll", str(path), "--k", "2"]):
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: EDEGENERATE: {path}: ") and err.count("\n") == 1, err
+        assert (code, out, err) == (2, "", f"error: EDEGENERATE: {path}: graph has no edges\n")
 
 
 def test_unroll_gives_each_gate_block_of_a_checkpoint_the_entry_of_its_matx_export(
@@ -257,7 +256,7 @@ def test_unroll_gives_each_gate_block_of_a_checkpoint_the_entry_of_its_matx_expo
         code, out, err = run_cli(capsys, "unroll", str(block), "--k", "3")
         if gate == "f":
             assert entry == {"layer": "w_hh[f]", "error": "EDEGENERATE"}
-            assert (code, out) == (2, "") and err.startswith(f"error: EDEGENERATE: {block}: ")
+            assert (code, out, err) == (2, "", f"error: EDEGENERATE: {block}: graph has no edges\n")
         else:
             expected = json.loads(out)
             del expected["source"], expected["k"]
@@ -312,6 +311,10 @@ def test_prune_train_report_end_to_end(tmp_path, capsys):
     assert svg.startswith("<svg")
     csv_lines = (tmp_path / "fig.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 1 + 4  # header + one row per record
+    assert csv_lines[0] == (
+        "round,q_w_xh_pct,q_w_hh_pct,test_accuracy,"
+        "w_xh_unweighted_delta_r,w_xh_unweighted_delta_s,w_xh_weighted_delta_s,"
+        "w_hh_unweighted_delta_r,w_hh_unweighted_delta_s,w_hh_weighted_delta_s")
 
     code, out, _ = run_cli(capsys, "train", "--config", str(config_path),
                            "--out", str(tmp_path / "dense"))

@@ -8,6 +8,7 @@ from expanderprune.errors import DegenerateGraphError, DomainError, ShapeError, 
 from expanderprune.graphs import (
     UNWEIGHTED,
     WEIGHTED,
+    BipartiteGraph,
     bipartite_alpha2,
     build_bipartite,
     cheeger_bounds,
@@ -40,7 +41,6 @@ def cycle8_bipartite():
 def test_build_bipartite_weighted_takes_magnitudes():
     g = build_bipartite([[0.5, -0.2], [0.0, 0.3]], None, WEIGHTED)
     assert np.array_equal(g.biadjacency, [[0.5, 0.2], [0.0, 0.3]])
-    assert not g.degenerate
 
 
 def test_build_bipartite_unweighted_is_support_indicator():
@@ -55,8 +55,11 @@ def test_build_bipartite_mask_is_applied():
 
 
 def test_build_bipartite_zero_weights_degenerate():
-    g = build_bipartite(np.zeros((3, 3)), None, WEIGHTED)
-    assert g.degenerate
+    with pytest.raises(DegenerateGraphError, match="^graph has no edges$"):
+        build_bipartite(np.zeros((3, 3)), None, WEIGHTED)
+    # The graph type holds the rule, so a graph built directly obeys it too.
+    with pytest.raises(DegenerateGraphError, match="^graph has no edges$"):
+        BipartiteGraph(np.zeros((3, 3)), UNWEIGHTED)
 
 
 def test_build_bipartite_shape_mismatch():

@@ -307,6 +307,14 @@ def test_train_equals_reference_bits(cell):
         assert np.array_equal(got.tensors()[name], want.tensors()[name]), name
 
 
+def test_lstm_train_with_saturated_gates_warns_of_nothing():
+    # At this rate a gate's exp(-z) overflows to inf: 1 / (1 + inf) is the
+    # saturated gate value 0, and pytest turns any RuntimeWarning into a failure.
+    p, mask, xs, ys = _random_case(LSTM, 4, 60, 4, seed=21, hidden=4)
+    got = train(p, mask, xs, ys, TrainConfig(seed=21, learning_rate=1000.0), epochs=2, stream=(1,))
+    assert all(np.isfinite(t).all() for t in got.tensors().values())
+
+
 @pytest.mark.parametrize("cell", [RNN, LSTM])
 def test_evaluate_over_chunks_equals_reference_accuracy(cell):
     # 1,100 rows are three chunks of the inference pass: 512, 512 and 76
