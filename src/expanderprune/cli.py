@@ -2,12 +2,13 @@
 
 Subcommands: analyze | prune | unroll | report | train.  Input matrices
 come either as matx text files or RPRM checkpoints (detected by magic),
-and analyze and unroll read both through one block walker.  unroll takes
-a checkpoint's time-step blocks: the RNN's W_hh, or each LSTM gate block
-of W_hh, with its mask applied.  Relative output paths resolve under
-$EXP_HOME when it is set.  Every error, a usage error, out-of-memory and
-an interrupt included, exits nonzero with a single machine-parsable line
-on stderr:
+and analyze and unroll read both through one block walker, which checks
+each matrix it reads.  unroll takes a checkpoint's time-step blocks: the
+RNN's W_hh, or each LSTM gate block of W_hh, with its mask applied, and
+refuses a block before its first SVD.  Relative output paths resolve
+under $EXP_HOME when it is set.  Every error, a usage error,
+out-of-memory and an interrupt included, exits nonzero with a single
+machine-parsable line on stderr:
 
     error: <CODE>: <message>
 """
@@ -91,16 +92,18 @@ def _naming_input(command):
 
 
 def _blocks(path, layers, per_gate):
-    """Each (label, weights, keep) block at ``path``: a matx file's one matrix (keep None),
-    or each of ``layers`` of an RPRM checkpoint, then its LSTM gates if ``per_gate``."""
+    """Each (label, weights, keep) block at ``path``: a matx file's one matrix (keep None), or
+    each of ``layers`` of an RPRM checkpoint, then views of its LSTM gates if ``per_gate``.
+    Each matrix passes as_dense_matrix as it is read, so a bad layer refuses before any SVD."""
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
-            return [("matrix", load_matrix_text(path), None)]
+            return [("matrix", as_dense_matrix(load_matrix_text(path)), None)]
     params, mask = load_checkpoint(path)
     H = params.hidden_size
     gates = enumerate(GATES) if per_gate and params.cell_kind == LSTM else ()
     parts = [("", slice(None))] + [(f"[{gate}]", slice(g * H, (g + 1) * H)) for g, gate in gates]
-    return [(layer + suffix, getattr(params, layer)[rows], getattr(mask, layer)[rows])
+    weights = {layer: as_dense_matrix(getattr(params, layer)) for layer in layers}
+    return [(layer + suffix, weights[layer][rows], getattr(mask, layer)[rows])
             for layer in layers for suffix, rows in parts]
 
 
@@ -195,12 +198,13 @@ def cmd_train(args) -> int:
 
 
 def _unrolled(B, args) -> dict:
+    """Block B's unrolled chain; its closed form and reports refuse B before any SVD does."""
     spec = UnrolledSpec(B, args.k)
+    closed = closed_form_spectrum(spec) if args.closed_form else None
+    reports = [asdict(unrolled_gap_report(spec, mode)) for mode in _MODE_FLAGS[args.mode]]
     spectrum = unrolled_spectrum(spec)
-    out = {"dimension": spec.dim, "spectrum": [float(v) for v in spectrum],
-           "reports": [asdict(unrolled_gap_report(spec, mode)) for mode in _MODE_FLAGS[args.mode]]}
+    out = {"dimension": spec.dim, "spectrum": [float(v) for v in spectrum], "reports": reports}
     if args.closed_form:
-        closed = closed_form_spectrum(spec)
         out["closed_form"] = [float(v) for v in closed]
         out["max_deviation"] = float(np.max(np.abs(closed - spectrum)))
     return out
@@ -214,8 +218,7 @@ def cmd_unroll(args) -> int:
     if keep is None:
         _print_json({"source": args.path, "k": args.k, **_unrolled(B, args)})
         return 0
-    # non-finite weights are refused before a mask could turn them into NaN
-    entries = [_entry({"layer": label}, lambda: _unrolled(as_dense_matrix(weights) * kept, args))
+    entries = [_entry({"layer": label}, lambda: _unrolled(weights * kept, args))
                for label, weights, kept in gates or [("w_hh", B, keep)]]
     return _print_reported({"source": args.path, "k": args.k, "blocks": entries}, entries)
 

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGraphError, DomainError, ShapeError, SizeError
-from .linalg import as_dense_matrix, bipartite_spectrum, check_symmetric, top_two_singular_values
+from .linalg import (as_dense_matrix, as_mask, bipartite_spectrum, check_symmetric,
+                     top_two_singular_values)
 
 WEIGHTED = "weighted"
 UNWEIGHTED = "unweighted"
@@ -97,11 +98,7 @@ def build_bipartite(W, mask=None, mode: str = WEIGHTED) -> BipartiteGraph:
     stores 1 wherever a kept entry is nonzero.
     """
     W = as_dense_matrix(W)
-    if mask is None:
-        mask = np.ones(W.shape, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != W.shape:
-        raise ShapeError(f"mask shape {mask.shape} != weight shape {W.shape}")
+    mask = as_mask(np.ones(W.shape, dtype=bool) if mask is None else mask, W.shape)
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}")
     if mode == WEIGHTED:

@@ -37,6 +37,14 @@ def as_dense_matrix(data) -> np.ndarray:
     return M
 
 
+def as_mask(mask, shape) -> np.ndarray:
+    """``mask`` as a bool array, refused unless it has the weights' ``shape``."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != shape:
+        raise ShapeError(f"mask shape {mask.shape} != weight shape {shape}")
+    return mask
+
+
 def check_symmetric(M: np.ndarray, atol: float = SYMMETRY_ATOL) -> None:
     if M.shape[0] != M.shape[1]:
         raise ShapeError(f"matrix is not square: shape {M.shape}")

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import NoiseSpec, SequenceDataset, add_noise, train_test_split
-from .errors import ConfigError, DomainError, FormatError, ShapeError, check_fields
+from .errors import ConfigError, DomainError, FormatError, check_fields
 from .formats import (
     dump_json_line,
     load_checkpoint,
@@ -36,6 +36,7 @@ from .formats import (
     save_checkpoint,
 )
 from .graphs import MODES, SpectralReport, build_bipartite, spectral_gaps
+from .linalg import as_mask
 from .nets import (
     PruneMask,
     RecurrentParams,
@@ -122,9 +123,7 @@ def magnitude_prune(W: np.ndarray, mask: np.ndarray, q: float) -> np.ndarray:
     if q <= 0.0:
         raise DomainError("keep fraction q must be > 0")
     W = np.asarray(W, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != W.shape:
-        raise ShapeError(f"mask shape {mask.shape} != weight shape {W.shape}")
+    mask = as_mask(mask, W.shape)
     target = math.ceil(q * W.size)
     if target >= np.count_nonzero(mask):
         return mask.copy()

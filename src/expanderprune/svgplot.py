@@ -63,28 +63,25 @@ def _polyline(points, color, dasharray=""):
 
 def trajectory_table(records: list[PruneRecord]) -> tuple[list[str], list[list]]:
     """Header and rows of the plotted quantities, one row per record."""
-    header = ["round", *(f"q_{layer}_pct" for layer in LAYERS), "test_accuracy"]
-    for layer in LAYERS:
-        for kind in GAP_KINDS:
-            header.append(f"{layer}_{kind}")
-    rows = []
-    for record in records:
-        row = [record.round, *(100.0 * record.q[layer] for layer in LAYERS), record.test_accuracy]
-        for layer in LAYERS:
-            for kind in GAP_KINDS:
-                row.append(record.gap(layer, kind))
-        rows.append(row)
+    pairs = [(layer, kind) for layer in LAYERS for kind in GAP_KINDS]
+    header = ["round", *(f"q_{layer}_pct" for layer in LAYERS), "test_accuracy",
+              *(f"{layer}_{kind}" for layer, kind in pairs)]
+    rows = [[record.round, *(100.0 * record.q[layer] for layer in LAYERS), record.test_accuracy,
+             *(record.gap(layer, kind) for layer, kind in pairs)] for record in records]
     return header, rows
 
 
 def render_trajectory(records: list[PruneRecord], svg_path) -> str:
     """Write the dual-axis SVG figure and its CSV table beside it (the
-    SVG path with its extension replaced by .csv); returns the CSV path."""
+    SVG path with its extension replaced by .csv); returns the CSV path.
+    Each panel plots its columns of that table, found by header name."""
     if not records:
         raise DomainError("trajectory is empty")
     csv_path = os.path.splitext(svg_path)[0] + ".csv"
     if csv_path == svg_path:
         raise DomainError(f"{svg_path}: the figure would overwrite its own CSV table")
+    header, rows = trajectory_table(records)
+    columns = dict(zip(header, zip(*rows)))
 
     height = _MARGIN_T + len(LAYERS) * (_PANEL_H + _MARGIN_B) + 8
     parts = [
@@ -93,25 +90,21 @@ def render_trajectory(records: list[PruneRecord], svg_path) -> str:
     ]
     for panel_index, layer in enumerate(LAYERS):
         top = _MARGIN_T + panel_index * (_PANEL_H + _MARGIN_B)
-        parts.append(_render_panel(records, layer, top))
+        parts.append(_render_panel(columns, layer, top))
     parts.append("</svg>\n")
     # The SVG goes first, so an SVG path that cannot be written leaves no CSV.
     with open(svg_path, "w") as f:
         f.write("".join(parts))
-
-    header, rows = trajectory_table(records)
     with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        csv.writer(f).writerows([repr(v) if isinstance(v, float) else v for v in row]
+                                for row in [header, *rows])
     return csv_path
 
 
-def _render_panel(records: list[PruneRecord], layer: str, top: float) -> str:
-    qs = [100.0 * r.q[layer] for r in records]
-    accs = [r.test_accuracy for r in records]
-    gap_series = {kind: [r.gap(layer, kind) for r in records] for kind in GAP_KINDS}
+def _render_panel(columns: dict[str, tuple], layer: str, top: float) -> str:
+    qs = columns[f"q_{layer}_pct"]
+    accs = columns["test_accuracy"]
+    gap_series = {kind: columns[f"{layer}_{kind}"] for kind in GAP_KINDS}
 
     left, right = _MARGIN_L, _PANEL_W - _MARGIN_R
     bottom = top + _PANEL_H

@@ -284,6 +284,37 @@ def test_unroll_refuses_a_checkpoint_where_it_refuses_its_exported_block(tmp_pat
     assert (code, out, err) == (2, "", f"error: EDEGENERATE: {ckpt}: graph has no edges\n")
 
 
+def test_a_refused_block_gets_no_svd(tmp_path, capsys, monkeypatch):
+    svd, has_edge = np.linalg.svd, []  # one entry per SVD: whether its matrix has a nonzero
+
+    def counted(a, *args, **kwargs):
+        has_edge.append(bool(np.any(a)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    params = init_params(3, 4, 2, LSTM, seed=1)
+    mask = PruneMask.full(params)
+    ckpt = tmp_path / "lstm.ckpt"
+    save_checkpoint(ckpt, params, mask)
+    code, out, err = run_cli(capsys, "unroll", str(ckpt), "--k", "2", "--closed-form")
+    assert (code, out, err, has_edge) == (
+        2, "", f"error: EDOMAIN: {ckpt}: closed-form spectrum requires a symmetric block\n", [])
+    mask.w_hh[4:8] = False  # W_hh's f gate keeps no edge
+    save_checkpoint(ckpt, params, mask)
+    code, out, err = run_cli(capsys, "unroll", str(ckpt), "--k", "2")
+    assert (code, err) == (0, "") and json.loads(out)["blocks"][1] == {
+        "layer": "w_hh[f]", "error": "EDEGENERATE"}
+    # The i, g and o gates each take one spectrum and two SVDs for each mode's report.
+    assert has_edge == [True] * 15
+    params.w_hh[-1, 0] = np.nan  # in W_hh's o gate, the last block either command reads
+    save_checkpoint(ckpt, params, PruneMask.full(params))
+    for argv in (["analyze", str(ckpt), "--per-gate"], ["unroll", str(ckpt), "--k", "2"]):
+        has_edge.clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err, has_edge) == (
+            2, "", f"error: EDOMAIN: {ckpt}: matrix contains non-finite entries\n", [])
+
+
 def test_prune_train_report_end_to_end(tmp_path, capsys):
     config_path = tmp_path / "exp.ini"
     out_dir = tmp_path / "run"
