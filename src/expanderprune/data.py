@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError, ShapeError, check_fields
 from .formats import read_exact
+from .nets import check_labels
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -38,17 +39,14 @@ class SequenceDataset:
 
     def __post_init__(self):
         seqs = np.asarray(self.sequences, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
         if seqs.ndim != 3:
             raise ShapeError(f"sequences must be (n, k, input_size), got {seqs.shape}")
-        if labels.shape != (seqs.shape[0],):
+        if np.shape(self.labels) != (seqs.shape[0],):
             raise ShapeError("labels length does not match sequence count")
         if not np.all(np.isfinite(seqs)):
             raise DomainError("sequence values must be finite")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.class_count):
-            raise DomainError("labels must lie in [0, class_count)")
         object.__setattr__(self, "sequences", seqs)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", check_labels(self.labels, self.class_count))
 
     @property
     def n(self) -> int:
@@ -124,8 +122,6 @@ def add_noise(ds: SequenceDataset, spec: NoiseSpec) -> SequenceDataset:
     """
     flat_size = ds.k * ds.input_size
     n_hit = math.ceil(spec.p * flat_size)
-    if n_hit == 0:
-        return SequenceDataset(ds.sequences.copy(), ds.labels.copy(), ds.class_count)
     out = ds.sequences.copy()
     flat = out.reshape(ds.n, flat_size)
     for i in range(ds.n):

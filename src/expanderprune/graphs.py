@@ -141,21 +141,23 @@ def _gap(base: float, lambda2: float, lambda2_floor: float) -> float:
     return (radical - lambda2) / lambda2
 
 
-def _assemble_report(mode: str, lambda1: float, lambda2: float,
-                     d_avg: float, alpha2: float, shape: tuple[int, int]) -> SpectralReport:
-    """Report from the spectral terms of a biadjacency block of the given shape."""
+def _assemble_report(g: BipartiteGraph, top_two: tuple[float, float],
+                     alpha2: float) -> SpectralReport:
+    """Report of layer graph g from its block's top two singular values and alpha2."""
+    lambda1, lambda2 = top_two
+    d_avg = degree_stats(g).d_avg
     lower, upper = cheeger_bounds(alpha2)
     # numpy's matrix_rank tolerance: sigma2 at or below it is rounding noise
-    floor = lambda1 * max(shape) * _EPS
+    floor = lambda1 * max(g.biadjacency.shape) * _EPS
     delta_s = _gap(lambda1, lambda2, floor)
-    if mode == UNWEIGHTED:
+    if g.mode == UNWEIGHTED:
         delta_r = _gap(d_avg, lambda2, floor)
         ramanujan = delta_r >= 0.0
     else:
         delta_r = None
         ramanujan = delta_s >= 0.0
     return SpectralReport(
-        mode=mode,
+        mode=g.mode,
         lambda1=lambda1,
         lambda2=lambda2,
         d_avg=d_avg,
@@ -170,10 +172,8 @@ def _assemble_report(mode: str, lambda1: float, lambda2: float,
 
 def spectral_gaps(g: BipartiteGraph) -> SpectralReport:
     """Full spectral report of a layer graph (lambda1 = sigma1(B) etc.)."""
-    s1, s2 = top_two_singular_values(g.biadjacency)
-    stats = degree_stats(g)
-    alpha2 = normalized_laplacian_alpha2(g)
-    return _assemble_report(g.mode, s1, s2, stats.d_avg, alpha2, g.biadjacency.shape)
+    return _assemble_report(g, top_two_singular_values(g.biadjacency),
+                            normalized_laplacian_alpha2(g))
 
 
 def normalized_laplacian_eigenvalues(adjacency: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Dense linear-algebra kernels.
 
-Every spectral quantity in the package funnels through the entry points
-here: a symmetric eigensolver for general graphs, and dense SVDs for
-bipartite graphs, whose adjacency spectrum is +/- the singular values of
-the biadjacency block.  All are deterministic: identical input bits give
-identical output bits.
+Every layer-graph and unrolled spectrum comes from the entry points here:
+dense SVDs for bipartite graphs, whose adjacency spectrum is +/- the
+singular values of the biadjacency block, and a symmetric eigensolver.
+Only graphs.normalized_laplacian_eigenvalues, the general-graph
+reference, calls eigvalsh itself.  All are deterministic: identical
+input bits give identical output bits.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ def as_mask(mask, shape) -> np.ndarray:
     return mask
 
 
-def check_symmetric(M: np.ndarray, atol: float = SYMMETRY_ATOL) -> None:
+def check_symmetric(M: np.ndarray) -> None:
     if M.shape[0] != M.shape[1]:
         raise ShapeError(f"matrix is not square: shape {M.shape}")
-    if M.shape[0] and np.max(np.abs(M - M.T)) > atol:
-        raise ShapeError(f"matrix is not symmetric within {atol}")
+    if M.shape[0] and np.max(np.abs(M - M.T)) > SYMMETRY_ATOL:
+        raise ShapeError(f"matrix is not symmetric within {SYMMETRY_ATOL}")
 
 
 def bipartite_spectrum(B) -> np.ndarray:

@@ -161,16 +161,27 @@ def _check_sequences(params: RecurrentParams, sequences) -> tuple[np.ndarray, bo
     return xs, single
 
 
+def check_labels(labels, class_count: int) -> np.ndarray:
+    """``labels`` as int64, refused unless each is a whole number in [0, class_count).
+    The range test comes first, so a NaN or inf label is refused before the cast."""
+    labels = np.asarray(labels)
+    if labels.size and not (labels.min() >= 0 and labels.max() < class_count):
+        raise DomainError("labels must lie in [0, class_count)")
+    whole = labels.astype(np.int64, copy=False)
+    if not np.array_equal(whole, labels):
+        raise DomainError("labels must be whole numbers")
+    return whole
+
+
 def _check_batch(params: RecurrentParams, sequences, labels,
                  what: str) -> tuple[np.ndarray, np.ndarray]:
     """The (n, k, input) sequences and their n labels; ``what`` names an empty batch."""
     xs, _ = _check_sequences(params, sequences)
-    labels = np.asarray(labels)
-    if labels.shape != (xs.shape[0],):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch {xs.shape[0]}")
+    if np.shape(labels) != (xs.shape[0],):
+        raise ShapeError(f"labels shape {np.shape(labels)} does not match batch {xs.shape[0]}")
     if xs.shape[0] == 0:
         raise DomainError(f"{what} is empty")
-    return xs, labels
+    return xs, check_labels(labels, params.class_count)
 
 
 def _lstm_cell(z: np.ndarray, c: np.ndarray, H: int):

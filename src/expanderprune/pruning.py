@@ -88,13 +88,9 @@ class PruneRecord:
     zero_crossed: dict[str, dict[str, bool]]
 
     def gap(self, layer: str, kind: str) -> float:
-        return _gap(self.reports, layer, kind)
-
-
-def _gap(reports, layer: str, kind: str) -> float:
-    check_policy([(layer, kind)])
-    mode, attr = kind.split("_", 1)
-    return getattr(reports[layer][mode], attr)
+        check_policy([(layer, kind)])
+        mode, attr = kind.split("_", 1)
+        return getattr(self.reports[layer][mode], attr)
 
 
 def check_policy(policy=()):
@@ -158,16 +154,18 @@ def _crosses(value, previous=None) -> bool:
 
 def _make_record(round_index, params, mask, test_ds, previous) -> PruneRecord:
     reports = layer_reports(params, mask)
-    return PruneRecord(
+    record = PruneRecord(
         round=round_index,
         q={layer: mask.kept_fraction(layer) for layer in LAYERS},
         test_accuracy=evaluate(params, mask, test_ds.sequences, test_ds.labels),
         reports=reports,
-        zero_crossed={layer: {kind: _crosses(_gap(reports, layer, kind),
-                                             previous and previous.gap(layer, kind))
-                              for kind in GAP_KINDS}
-                      for layer in LAYERS},
+        zero_crossed={},
     )
+    record.zero_crossed = {layer: {kind: _crosses(record.gap(layer, kind),
+                                                  previous and previous.gap(layer, kind))
+                                   for kind in GAP_KINDS}
+                           for layer in LAYERS}
+    return record
 
 
 def first_zero_crossing(values) -> int | None:

@@ -25,14 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError
-from .graphs import (
-    SpectralReport,
-    WEIGHTED,
-    _assemble_report,
-    bipartite_alpha2,
-    build_bipartite,
-    degree_stats,
-)
+from .graphs import SpectralReport, WEIGHTED, _assemble_report, bipartite_alpha2, build_bipartite
 from .linalg import (
     SYMMETRY_ATOL,
     as_dense_matrix,
@@ -119,11 +112,11 @@ def unrolled_gap_report(spec: UnrolledSpec, mode: str = WEIGHTED) -> SpectralRep
     """Spectral report of the unrolled graph.
 
     The parity block C becomes a layer graph exactly as a weight matrix
-    does (|C| or its support, by mode, refused with no edge), and lambda1,
-    lambda2, d_avg and alpha2 come from it as a layer report takes them.
-    With k = 1, C is the block itself and this is the layerwise report of B.
+    does (|C| or its support, by mode, refused with no edge), and its
+    report is assembled as spectral_gaps assembles a layer's, from the
+    same terms of the same graph.  With k = 1, C is the block itself and
+    this is the layerwise report of B.
     """
     g = build_bipartite(parity_block(spec), mode=mode)
-    lambda1, lambda2 = top_two_singular_values(g.biadjacency)
-    return _assemble_report(mode, lambda1, lambda2, degree_stats(g).d_avg,
-                            bipartite_alpha2(g.biadjacency), g.biadjacency.shape)
+    return _assemble_report(g, top_two_singular_values(g.biadjacency),
+                            bipartite_alpha2(g.biadjacency))

@@ -90,6 +90,10 @@ CASES = [
      DomainError, "sequence values must be finite"),
     ("dataset-label-range", lambda tmp: SequenceDataset(np.zeros((1, 1, 1)), [2], 2),
      DomainError, "labels must lie in [0, class_count)"),
+    ("dataset-label-fraction", lambda tmp: SequenceDataset(np.zeros((1, 1, 1)), [0.5], 2),
+     DomainError, "labels must be whole numbers"),
+    ("dataset-label-nan", lambda tmp: SequenceDataset(np.zeros((1, 1, 1)), [np.nan], 2),
+     DomainError, "labels must lie in [0, class_count)"),
     ("noise-p", lambda tmp: NoiseSpec(p=1.5), DomainError, "p: must lie in [0, 1]"),
     ("noise-sigma", lambda tmp: NoiseSpec(sigma=-0.1), DomainError, "sigma: must be >= 0"),
     ("noise-sigma-nan", lambda tmp: NoiseSpec(sigma=float("nan")),
@@ -133,8 +137,16 @@ CASES = [
      ShapeError, "labels shape (3,) does not match batch 2"),
     ("empty-dataset", lambda tmp: evaluate(PARAMS, MASK, NO_SEQUENCES, np.zeros(0)),
      DomainError, "dataset is empty"),
+    ("batch-label-negative", lambda tmp: loss_and_grads(PARAMS, MASK, TWO_SEQUENCES, [-1, 0]),
+     DomainError, "labels must lie in [0, class_count)"),
+    ("batch-label-past-classes", lambda tmp: loss_and_grads(PARAMS, MASK, TWO_SEQUENCES, [0, 2]),
+     DomainError, "labels must lie in [0, class_count)"),
+    ("batch-label-fraction", lambda tmp: loss_and_grads(PARAMS, MASK, TWO_SEQUENCES, [0.5, 0]),
+     DomainError, "labels must be whole numbers"),
     ("evaluate-label-count", lambda tmp: evaluate(PARAMS, MASK, TWO_SEQUENCES, np.zeros((2, 1))),
      ShapeError, "labels shape (2, 1) does not match batch 2"),
+    ("evaluate-label-past-classes", lambda tmp: evaluate(PARAMS, MASK, TWO_SEQUENCES, [2, 0]),
+     DomainError, "labels must lie in [0, class_count)"),
     ("adam-shape", lambda tmp: _wrong_gradient_shape(),
      ShapeError, "gradient shape mismatch for w_xh"),
     ("empty-training-set",
@@ -143,6 +155,9 @@ CASES = [
     ("training-set-label-count",
      lambda tmp: train(PARAMS, MASK, TWO_SEQUENCES, [0], TrainConfig(), 1, stream=(0,)),
      ShapeError, "labels shape (1,) does not match batch 2"),
+    ("training-set-label-negative",
+     lambda tmp: train(PARAMS, MASK, TWO_SEQUENCES, [-1, 0], TrainConfig(), 1, stream=(0,)),
+     DomainError, "labels must lie in [0, class_count)"),
     # pruning
     ("finetune-epochs", lambda tmp: PruneSchedule(finetune_epochs=-1),
      DomainError, "finetune_epochs: must be >= 0"),

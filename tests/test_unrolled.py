@@ -119,16 +119,15 @@ def test_unrolled_top_eigenvalue_below_twice_sigma1():
         assert eigs[0] <= 2 * sigma1 + 1e-9
 
 
-def test_gap_report_k1_matches_layer_report():
+def test_gap_report_is_the_layer_report_of_the_parity_block():
+    # k = 1: the parity block is W itself, so this is W's layerwise report.
     rng = np.random.default_rng(14)
     W = rng.standard_normal((4, 4))
-    for mode in (WEIGHTED, UNWEIGHTED):
-        unrolled = unrolled_gap_report(UnrolledSpec(W, 1), mode)
-        layer = spectral_gaps(build_bipartite(W, None, mode))
-        assert abs(unrolled.lambda1 - layer.lambda1) < 1e-9
-        assert abs(unrolled.lambda2 - layer.lambda2) < 1e-9
-        assert unrolled.d_avg == layer.d_avg
-        assert abs(unrolled.alpha2 - layer.alpha2) < 1e-9
+    for k in (1, 2, 5):
+        spec = UnrolledSpec(W, k)
+        for mode in (WEIGHTED, UNWEIGHTED):
+            layer = spectral_gaps(build_bipartite(parity_block(spec), None, mode))
+            assert unrolled_gap_report(spec, mode) == layer
 
 
 def test_gap_report_matches_dense_unrolled_adjacency():
