@@ -6,7 +6,7 @@ bipartite graph, refused when it has no edge, whose biadjacency holds
 
 * the top two singular values sigma1 >= sigma2, which are the two
   largest adjacency eigenvalues of the bipartite graph,
-* degree statistics (average, max, min positive, isolated count),
+* the average degree d_avg over all m + n vertices, isolated ones included,
 * alpha2, the second-smallest normalized-Laplacian eigenvalue, from the
   singular values of the degree-normalized block,
 * two-sided Cheeger bounds h^2/2 <= alpha2 <= 2h on the edge Cheeger
@@ -62,14 +62,6 @@ class BipartiteGraph:
 
 
 @dataclass(frozen=True)
-class DegreeStats:
-    d_avg: float
-    d_max: float
-    d_min: float  # smallest positive degree; 0.0 if every vertex is isolated
-    isolated_count: int
-
-
-@dataclass(frozen=True)
 class SpectralReport:
     """Expansion summary of one layer graph.
 
@@ -108,24 +100,6 @@ def build_bipartite(W, mask=None, mode: str = WEIGHTED) -> BipartiteGraph:
     return BipartiteGraph(biadj, mode)
 
 
-def degree_stats(g: BipartiteGraph) -> DegreeStats:
-    """Degree summary over all left and right vertices.
-
-    Weighted graphs use weighted degrees (row/column sums).  Isolated
-    vertices count toward d_avg but are excluded from d_min.
-    """
-    B = g.biadjacency
-    degrees = np.concatenate([B.sum(axis=1), B.sum(axis=0)])
-    isolated = int(np.count_nonzero(degrees == 0))
-    positive = degrees[degrees > 0]
-    return DegreeStats(
-        d_avg=float(degrees.mean()),
-        d_max=float(degrees.max()),
-        d_min=float(positive.min()) if positive.size else 0.0,
-        isolated_count=isolated,
-    )
-
-
 def _gap(base: float, lambda2: float, lambda2_floor: float) -> float:
     """(2*sqrt(base - 1) - lambda2) / lambda2 with the degenerate branches.
 
@@ -145,10 +119,11 @@ def _assemble_report(g: BipartiteGraph, top_two: tuple[float, float],
                      alpha2: float) -> SpectralReport:
     """Report of layer graph g from its block's top two singular values and alpha2."""
     lambda1, lambda2 = top_two
-    d_avg = degree_stats(g).d_avg
+    B = g.biadjacency
+    d_avg = float(np.concatenate([B.sum(axis=1), B.sum(axis=0)]).mean())
     lower, upper = cheeger_bounds(alpha2)
     # numpy's matrix_rank tolerance: sigma2 at or below it is rounding noise
-    floor = lambda1 * max(g.biadjacency.shape) * _EPS
+    floor = lambda1 * max(B.shape) * _EPS
     delta_s = _gap(lambda1, lambda2, floor)
     if g.mode == UNWEIGHTED:
         delta_r = _gap(d_avg, lambda2, floor)

@@ -325,20 +325,22 @@ class RunDirectory:
     def resume(self):
         """The usable prefix of an earlier run and the model it ended with:
         the lines _run_lines keeps, up to the first whose checkpoint is
-        missing.  trajectory.jsonl is cut back to its end.  Returns
+        missing; a last checkpoint that does not load (FormatError) counts
+        as missing.  trajectory.jsonl is cut back to its end.  Returns
         (records, params, mask); params and mask are None for no round."""
-        records, end = [], 0
+        kept, model = [], (None, None)
         if os.path.exists(self._trajectory_path):
             for record, line_end in _run_lines(self._trajectory_path)[0]:
                 if not os.path.exists(self._checkpoint(record.round)):
                     break
-                records.append(record)
-                end = line_end
-            os.truncate(self._trajectory_path, end)
-        if not records:
-            return records, None, None
-        params, mask = load_checkpoint(self._checkpoint(records[-1].round))
-        return records, params, mask
+                kept.append((record, line_end))
+            while kept and model[0] is None:
+                try:
+                    model = load_checkpoint(self._checkpoint(kept[-1][0].round))
+                except FormatError:  # a torn last checkpoint: cut back to the round before
+                    kept.pop()
+            os.truncate(self._trajectory_path, kept[-1][1] if kept else 0)
+        return [record for record, _ in kept], *model
 
     def append(self, record: PruneRecord, params: RecurrentParams, mask: PruneMask) -> None:
         """Persist one round: its checkpoint, then the line that commits it."""

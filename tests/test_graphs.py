@@ -12,7 +12,6 @@ from expanderprune.graphs import (
     bipartite_alpha2,
     build_bipartite,
     cheeger_bounds,
-    degree_stats,
     edge_cheeger_bruteforce,
     edge_conductance_bruteforce,
     normalized_laplacian_alpha2,
@@ -67,39 +66,18 @@ def test_build_bipartite_shape_mismatch():
         build_bipartite(np.ones((2, 2)), np.ones((2, 3), dtype=bool), WEIGHTED)
 
 
-def test_degree_stats_complete_bipartite():
-    stats = degree_stats(build_bipartite(np.ones((4, 4)), None, UNWEIGHTED))
-    assert (stats.d_avg, stats.d_max, stats.d_min, stats.isolated_count) == (4.0, 4.0, 4.0, 0)
-
-
-def test_degree_stats_perfect_matching():
-    stats = degree_stats(build_bipartite(np.eye(4), None, UNWEIGHTED))
-    assert (stats.d_avg, stats.d_max, stats.d_min) == (1.0, 1.0, 1.0)
-
-
-def test_degree_stats_direct_count():
-    stats = degree_stats(build_bipartite([[1.0, 1.0], [0.0, 1.0]], None, UNWEIGHTED))
-    assert (stats.d_avg, stats.d_max, stats.d_min) == (1.5, 2.0, 1.0)
-
-
-def test_degree_stats_weighted_uses_weighted_sums():
-    stats = degree_stats(build_bipartite([[0.5, -0.2], [0.0, 0.3]], None, WEIGHTED))
-    # row sums (0.7, 0.3), column sums (0.5, 0.5)
-    assert abs(stats.d_avg - 0.5) < 1e-12
-    assert abs(stats.d_max - 0.7) < 1e-12
-    assert abs(stats.d_min - 0.3) < 1e-12
-    assert stats.isolated_count == 0
-
-
-def test_degree_stats_counts_isolated_vertices():
-    stats = degree_stats(build_bipartite([[1.0, 0.0], [0.0, 0.0]], None, UNWEIGHTED))
-    assert stats.isolated_count == 2
-    assert stats.d_min == 1.0  # isolated vertices excluded from the minimum
-    assert stats.d_avg == 0.5  # but counted in the average
+@pytest.mark.parametrize("W, mode, d_avg", [
+    ([[1.0, 1.0], [0.0, 1.0]], UNWEIGHTED, 1.5),
+    ([[0.5, -0.2], [0.0, 0.3]], WEIGHTED, 0.5),  # row sums (0.7, 0.3), column sums (0.5, 0.5)
+    ([[1.0, 0.0], [0.0, 0.0]], UNWEIGHTED, 0.5),  # the two isolated vertices count in the mean
+], ids=["direct-count", "weighted-sums", "isolated-vertices"])
+def test_spectral_gaps_d_avg_is_the_mean_degree_of_all_vertices(W, mode, d_avg):
+    assert spectral_gaps(build_bipartite(W, None, mode)).d_avg == d_avg
 
 
 def test_spectral_gaps_perfect_matching_is_minus_one():
     report = spectral_gaps(build_bipartite(np.eye(4), None, UNWEIGHTED))
+    assert report.d_avg == 1.0
     assert report.delta_r == -1.0
     assert report.delta_s == -1.0
     assert not report.ramanujan
@@ -107,6 +85,7 @@ def test_spectral_gaps_perfect_matching_is_minus_one():
 
 def test_spectral_gaps_complete_bipartite_is_infinite():
     report = spectral_gaps(build_bipartite(np.ones((4, 4)), None, UNWEIGHTED))
+    assert report.d_avg == 4.0
     assert report.delta_r == math.inf
     assert report.delta_s == math.inf
     assert report.ramanujan

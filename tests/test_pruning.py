@@ -470,6 +470,28 @@ def test_run_imp_resumes_after_torn_trajectory_append(tmp_path, torn_round):
         assert {p.name: p.read_bytes() for p in partial.iterdir()} == full
 
 
+@pytest.mark.parametrize("cut", ["0", "3", "half", "len-1"])
+@pytest.mark.parametrize("torn_round", [0, 2, 4])
+def test_run_imp_resumes_after_torn_last_checkpoint(tmp_path, torn_round, cut):
+    # A crash of the machine can keep round R's line but not all of its
+    # checkpoint; that checkpoint does not load, so it counts as missing.
+    tiny_run(tmp_path / "full", rounds=4)
+    full = {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()}
+    lines = full["trajectory.jsonl"].splitlines(keepends=True)
+    torn = f"round_{torn_round:03d}.ckpt"
+    size = {"0": 0, "3": 3, "half": len(full[torn]) // 2, "len-1": len(full[torn]) - 1}[cut]
+    partial = tmp_path / "partial"
+    partial.mkdir()
+    (partial / "run_config.json").write_bytes(full["run_config.json"])
+    for r in range(torn_round):
+        name = f"round_{r:03d}.ckpt"
+        (partial / name).write_bytes(full[name])
+    (partial / torn).write_bytes(full[torn][:size])
+    (partial / "trajectory.jsonl").write_bytes(b"".join(lines[:torn_round + 1]))
+    tiny_run(partial, rounds=4)
+    assert {p.name: p.read_bytes() for p in partial.iterdir()} == full
+
+
 @pytest.mark.parametrize("change", ["seed", "schedule", "noise", "dataset"])
 def test_run_imp_refuses_resume_under_changed_config(tmp_path, change):
     ds = synth_task("mean-threshold", 80, 4, 3, seed=3)
