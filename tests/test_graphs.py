@@ -67,17 +67,18 @@ def test_build_bipartite_shape_mismatch():
 
 
 @pytest.mark.parametrize("W, mode, d_avg", [
+    (np.ones((4, 4)), UNWEIGHTED, 4.0),
+    (np.eye(4), UNWEIGHTED, 1.0),
     ([[1.0, 1.0], [0.0, 1.0]], UNWEIGHTED, 1.5),
     ([[0.5, -0.2], [0.0, 0.3]], WEIGHTED, 0.5),  # row sums (0.7, 0.3), column sums (0.5, 0.5)
     ([[1.0, 0.0], [0.0, 0.0]], UNWEIGHTED, 0.5),  # the two isolated vertices count in the mean
-], ids=["direct-count", "weighted-sums", "isolated-vertices"])
+], ids=["complete-bipartite", "perfect-matching", "direct-count", "weighted-sums", "isolated-vertices"])
 def test_spectral_gaps_d_avg_is_the_mean_degree_of_all_vertices(W, mode, d_avg):
     assert spectral_gaps(build_bipartite(W, None, mode)).d_avg == d_avg
 
 
 def test_spectral_gaps_perfect_matching_is_minus_one():
     report = spectral_gaps(build_bipartite(np.eye(4), None, UNWEIGHTED))
-    assert report.d_avg == 1.0
     assert report.delta_r == -1.0
     assert report.delta_s == -1.0
     assert not report.ramanujan
@@ -85,7 +86,6 @@ def test_spectral_gaps_perfect_matching_is_minus_one():
 
 def test_spectral_gaps_complete_bipartite_is_infinite():
     report = spectral_gaps(build_bipartite(np.ones((4, 4)), None, UNWEIGHTED))
-    assert report.d_avg == 4.0
     assert report.delta_r == math.inf
     assert report.delta_s == math.inf
     assert report.ramanujan
