@@ -94,9 +94,11 @@ def _naming_input(command):
 def _blocks(path, layers, per_gate):
     """Each (label, weights, keep) block at ``path``: a matx file's one matrix (keep None), or
     each of ``layers`` of an RPRM checkpoint, then views of its LSTM gates if ``per_gate``.
+    A file whose first bytes are ``RPRM`` or a prefix of it (a checkpoint torn inside its
+    magic, the empty file too) is a checkpoint; any other is matx text.
     Each matrix passes as_dense_matrix as it is read, so a bad layer refuses before any SVD."""
     with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
+        if not CHECKPOINT_MAGIC.startswith(f.read(len(CHECKPOINT_MAGIC))):
             return [("matrix", as_dense_matrix(load_matrix_text(path)), None)]
     params, mask = load_checkpoint(path)
     H = params.hidden_size

@@ -131,7 +131,7 @@ def save_checkpoint(path, params: RecurrentParams, mask: PruneMask) -> None:
 
 def load_checkpoint(path) -> tuple[RecurrentParams, PruneMask]:
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = read_exact(f, len(CHECKPOINT_MAGIC), path, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
         version, cell_code = struct.unpack("<IB", read_exact(f, 5, path, "header"))

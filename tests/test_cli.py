@@ -207,6 +207,22 @@ def test_analyze_reads_a_file_that_is_not_text_as_eformat(tmp_path, capsys, cont
     assert err == f"error: EFORMAT: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("size", [0, 1, 3])
+@pytest.mark.parametrize("command", [["analyze"], ["unroll", "--k", "2"]],
+                         ids=["analyze", "unroll"])
+def test_checkpoint_torn_inside_its_magic_is_read_as_a_checkpoint(tmp_path, capsys,
+                                                                  command, size):
+    # Its bytes are a prefix of RPRM, so the refusal names the checkpoint
+    # field it lacks, not the matx header (which a flipped magic still gets).
+    path = tmp_path / "round_000.ckpt"
+    params = init_params(3, 4, 2, LSTM, seed=0)
+    save_checkpoint(path, params, PruneMask.full(params))
+    path.write_bytes(path.read_bytes()[:size])
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: EFORMAT: {path}: truncated magic at byte offset 0\n"
+
+
 def test_unroll_closed_form_agrees(tmp_path, capsys):
     rng = np.random.default_rng(2)
     B = rng.standard_normal((3, 3))

@@ -317,7 +317,7 @@ def test_lstm_train_with_saturated_gates_warns_of_nothing():
 
 @pytest.mark.parametrize("cell", [RNN, LSTM])
 def test_evaluate_over_chunks_equals_reference_accuracy(cell):
-    # 1,100 rows are three chunks of the inference pass: 512, 512 and 76
+    # 1,100 rows are nine chunks of the inference pass: 8 x 128 and 76
     p, mask, xs, ys = _random_case(cell, 6, 1100, 4, seed=31)
     logits, _, _ = reference_forward(p, mask, xs)
     want = int(np.count_nonzero(np.argmax(logits, axis=1) == ys)) / len(ys)
@@ -336,6 +336,20 @@ def test_evaluate_keeps_only_the_running_state():
     finally:
         tracemalloc.stop()
     assert peak < n * k * hidden * 8 / 2
+
+
+def test_evaluate_peak_is_a_few_chunk_blocks():
+    # 1,024 rows pass in 128-row chunks, so the peak is a few (128, 4H)
+    # step arrays however many rows there are
+    n, k, hidden = 1024, 16, 32
+    p, mask, xs, ys = _random_case(LSTM, k, n, 4, seed=43, hidden=hidden)
+    tracemalloc.start()
+    try:
+        evaluate(p, mask, xs, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 128 * 4 * hidden * 8
 
 
 @pytest.mark.parametrize("labels", [np.zeros((10, 1), dtype=int), np.zeros(1, dtype=int),
