@@ -129,6 +129,9 @@ def cmd_analyze(args) -> int:
 
 
 def _build_dataset(cfg: ExperimentConfig):
+    """The config's dataset.  Callers pass it on without keeping a name
+    for it, so once run_imp or start_run has split it, the split is the
+    only copy left (on CPython >= 3.11; see run_imp)."""
     data = cfg.data
     if data.source == "synth":
         ds = synth_task(data.synth_kind, data.n_samples, data.k, data.input_size,
@@ -154,11 +157,10 @@ def _load_experiment(args) -> ExperimentConfig:
 
 def cmd_prune(args) -> int:
     cfg = _load_experiment(args)
-    dataset = _build_dataset(cfg)
     records = run_imp(
         cfg.train,
         cfg.schedule,
-        dataset,
+        _build_dataset(cfg),  # not kept here, so run_imp can release it once split
         cell_kind=cfg.cell_kind,
         hidden_size=cfg.hidden_size,
         out_dir=cfg.output_dir,
@@ -184,9 +186,8 @@ def cmd_prune(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_experiment(args)
-    dataset = _build_dataset(cfg)
-    train_ds, test_ds, initial = start_run(cfg.train, dataset, cfg.cell_kind, cfg.hidden_size,
-                                           cfg.noise)
+    train_ds, test_ds, initial = start_run(cfg.train, _build_dataset(cfg), cfg.cell_kind,
+                                           cfg.hidden_size, cfg.noise)
     os.makedirs(cfg.output_dir, exist_ok=True)
     params, mask = train_dense(cfg.train, initial, train_ds)
     ckpt_path = os.path.join(cfg.output_dir, "dense.ckpt")

@@ -6,6 +6,12 @@ layout.  Datasets are immutable after construction; every generator is
 deterministic for a fixed seed.  IDX files are read through
 formats.read_exact, so a truncated file fails with FormatError at the
 byte offset where it ends.
+
+Sequence arrays dominate a run's memory, so each is held once: a loader
+makes one float64 copy of what it reads (IDX pixels are divided by 255
+straight into it), synth_task fills its one array in place, and
+SequenceDataset takes a float64 array without copying it and checks its
+values by min and max, not by an array the size of the data.
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ class SequenceDataset:
             raise ShapeError(f"sequences must be (n, k, input_size), got {seqs.shape}")
         if np.shape(self.labels) != (seqs.shape[0],):
             raise ShapeError("labels length does not match sequence count")
-        if not np.all(np.isfinite(seqs)):
-            raise DomainError("sequence values must be finite")
+        with np.errstate(invalid="ignore"):  # min and max, so no bool array the size of the data
+            if seqs.size and not np.isfinite([seqs.min(), seqs.max()]).all():
+                raise DomainError("sequence values must be finite")
         object.__setattr__(self, "sequences", seqs)
         object.__setattr__(self, "labels", check_labels(self.labels, self.class_count))
 
@@ -108,7 +115,7 @@ def load_idx_images(images_path, labels_path) -> SequenceDataset:
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if len(labels) != len(pixels):
         raise FormatError(f"{labels_path}: {len(labels)} labels for {len(pixels)} images")
-    sequences = pixels.astype(np.float64) / 255.0
+    sequences = np.divide(pixels, 255.0, dtype=np.float64)  # the one float64 copy
     class_count = int(labels.max()) + 1 if labels.size else 1
     return SequenceDataset(sequences, labels.astype(np.int64), class_count)
 
@@ -153,20 +160,18 @@ def synth_task(kind: str, n_samples: int, k: int, input_size: int, seed: int = 0
     targets = rng.permutation(np.arange(n_samples) % 2).astype(np.int64)
     X = rng.uniform(0.0, 1.0, size=(n_samples, k, input_size))
     if kind == "running-parity":
-        X[:, :, 0] = (X[:, :, 0] > 0.5).astype(np.float64)
-
-        def echo(events, shape):
-            return events * rng.uniform(0.8, 1.2, size=shape)
-
-        X[:, :, 1:] = echo(X[:, :, [0]], (n_samples, k, input_size - 1))
+        X[:, :, 0] = X[:, :, 0] > 0.5
+        echoes = rng.uniform(0.8, 1.2, size=(n_samples, k, input_size - 1))
+        echoes *= X[:, :, :1]
+        X[:, :, 1:] = echoes
         labels = np.count_nonzero(X[:, :, 0] > 0.5, axis=1) % 2
         for i in np.flatnonzero(labels != targets):
             j = int(rng.integers(k))
             X[i, j, 0] = 1.0 - X[i, j, 0]
-            X[i, j, 1:] = echo(X[i, j, 0], input_size - 1)
+            X[i, j, 1:] = X[i, j, 0] * rng.uniform(0.8, 1.2, size=input_size - 1)
     else:
         flip = (X.reshape(n_samples, -1).mean(axis=1) > 0.5) != targets
-        X[flip] = 1.0 - X[flip]
+        np.subtract(1.0, X, out=X, where=flip[:, None, None])
     return SequenceDataset(X, targets, 2)
 
 

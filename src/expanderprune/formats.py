@@ -15,8 +15,11 @@ RPRM checkpoint (binary, little-endian)
     Save and load both walk ``_LAYOUT``, and every stored shape is checked
     against the header (a bias as 1 x n) before any grid is used.
 
-Every binary read goes through ``read_exact``, so a file that ends early
-fails with FormatError naming the field and its byte offset.
+Every binary read checks its size against the bytes left before it
+allocates anything (``_check_left``), so a file that ends early fails
+with FormatError naming the field and its byte offset.  ``read_exact``
+returns the bytes of a field; a checkpoint's f64 grids are read straight
+into their arrays, and its masks are bool views of the unpacked bits.
 
 Trajectory files are JSON lines, one record per line; non-finite floats
 are serialized as the strings "inf", "-inf", "nan".
@@ -75,6 +78,15 @@ def _write_matrix(f, M: np.ndarray) -> None:
     f.write(M.reshape(-1).view(np.uint8))  # the array's own bytes, not a copy
 
 
+def _check_left(f, count, path, what) -> int:
+    """The offset of ``f``; FormatError naming ``what`` and that offset
+    when fewer than ``count`` bytes are left after it."""
+    start = f.tell()
+    if count > os.fstat(f.fileno()).st_size - start:
+        raise FormatError(f"{path}: truncated {what} at byte offset {start}")
+    return start
+
+
 def read_exact(f, count, path, what) -> bytes:
     """The next ``count`` bytes of the file ``f``; FormatError naming
     ``what`` and the byte offset where it starts when the file ends first.
@@ -82,17 +94,22 @@ def read_exact(f, count, path, what) -> bytes:
     ``count`` is checked against the bytes left before anything is read,
     so a declared size larger than the file allocates nothing.
     """
-    start = f.tell()
-    data = f.read(count) if count <= os.fstat(f.fileno()).st_size - start else b""
+    start = _check_left(f, count, path, what)
+    data = f.read(count)
     if len(data) != count:
         raise FormatError(f"{path}: truncated {what} at byte offset {start}")
     return data
 
 
 def _read_matrix(f, path) -> np.ndarray:
+    """The next matrix of ``f``, its grid read straight into an array made
+    only once _check_left has found that many bytes in the file."""
     rows, cols = struct.unpack("<II", read_exact(f, 8, path, "matrix header"))
-    data = read_exact(f, rows * cols * 8, path, "matrix data")
-    return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+    start = _check_left(f, rows * cols * 8, path, "matrix data")
+    M = np.empty((rows, cols), dtype="<f8")
+    if f.readinto(M.reshape(-1).view(np.uint8)) != M.nbytes:
+        raise FormatError(f"{path}: truncated matrix data at byte offset {start}")
+    return M
 
 
 def _write_mask(f, mask: np.ndarray) -> None:
@@ -104,8 +121,8 @@ def _write_mask(f, mask: np.ndarray) -> None:
 def _read_mask(f, path) -> np.ndarray:
     rows, cols = struct.unpack("<II", read_exact(f, 8, path, "mask header"))
     data = read_exact(f, (rows * cols + 7) // 8, path, "mask data")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    return bits[: rows * cols].astype(bool).reshape(rows, cols)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=rows * cols, bitorder="little")
+    return bits.view(bool).reshape(rows, cols)  # the 0/1 bytes as bools, not a copy
 
 
 # Every grid of a checkpoint in file order: (group, field).  "params" grids

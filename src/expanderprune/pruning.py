@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import errno
 import fcntl
-import hashlib
 import math
 import os
 from contextlib import ExitStack
@@ -380,6 +379,8 @@ def train_dense(config: TrainConfig, initial: RecurrentParams,
 
 
 def _dataset_digest(dataset: SequenceDataset) -> dict:
+    import hashlib  # here: analyze, unroll and report load no OpenSSL (numpy.random would)
+
     digest = hashlib.sha256()
     for array in (dataset.sequences, dataset.labels):
         digest.update(np.ascontiguousarray(array))
@@ -414,8 +415,17 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
     ConfigError before anything is trained or written.  The run holds the
     directory until it returns or raises, and a second writer meanwhile
     gets OSError(EBUSY).
+
+    Once split and digested, ``dataset`` is no longer referenced here, so
+    the run holds only its train and test copies.  A caller that passes
+    the dataset without keeping it (as ``expanderprune prune`` does) lets
+    it be freed before training on CPython >= 3.11, where the callee's
+    frame owns a call's arguments; on 3.10 the caller's stack keeps it
+    until the call returns.
     """
     train_ds, test_ds, initial = start_run(config, dataset, cell_kind, hidden_size, noise, policy)
+    digest = _dataset_digest(dataset) if out_dir else None
+    del dataset
 
     run_dir = None
     records: list[PruneRecord] = []
@@ -433,7 +443,7 @@ def run_imp(config: TrainConfig, schedule: PruneSchedule, dataset: SequenceDatas
                 "policy": [list(pair) for pair in policy],
                 "noise": noise_fields if noise is not None else None,
                 "noise_apply_to": noise_apply_to,
-                "dataset": _dataset_digest(dataset),
+                "dataset": digest,
             }))
             records, params, mask = run_dir.resume()
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -5,13 +6,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from expanderprune import pruning
+from expanderprune import cli, pruning
 from expanderprune.cli import main
 from expanderprune.formats import dump_json_line, load_checkpoint, save_checkpoint, save_matrix_text
 from expanderprune.nets import LSTM, PruneMask, init_params
@@ -369,6 +371,43 @@ def test_prune_train_report_end_to_end(tmp_path, capsys):
     train_payload = json.loads(out)
     assert (tmp_path / "dense" / "dense.ckpt").exists()
     assert 0.0 <= train_payload["test_accuracy"] <= 1.0
+
+
+def test_prune_trains_with_no_reference_to_the_full_dataset(tmp_path, capsys, monkeypatch):
+    # once split, the full dataset is held by neither run_imp nor cmd_prune;
+    # from CPython 3.11 the callee owns its arguments, so it is freed
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(CONFIG.format(out=tmp_path / "run"))
+    built, first_train = [], []
+    real_build, real_train = cli._build_dataset, pruning.train
+
+    def build(cfg):
+        dataset = real_build(cfg)
+        built.append(weakref.ref(dataset))
+        return dataset
+
+    def train(*args, **kwargs):
+        if not first_train:
+            full = built[0]()
+            holders = []
+            if full is not None:
+                frames, frame = [], sys._getframe(1)
+                while frame is not None:
+                    if frame.f_code.co_name in ("run_imp", "cmd_prune"):
+                        frames.append((frame, frame.f_locals))  # locals as a dict gc can see
+                    frame = frame.f_back
+                referrers = gc.get_referrers(full)
+                holders = [caller.f_code.co_name for caller, names in frames
+                           if any(names is r for r in referrers)]
+            first_train.append((full is None, holders))
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_build_dataset", build)
+    monkeypatch.setattr(pruning, "train", train)
+    assert run_cli(capsys, "prune", "--config", str(config_path))[0] == 0
+    [(freed, holders)] = first_train
+    assert holders == []
+    assert freed or sys.version_info < (3, 11)
 
 
 def test_prune_seed_override_refuses_mismatched_resume(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +77,50 @@ def test_idx_declared_size_beyond_the_file_is_format_error(tmp_path):
         load_idx_images(images_path, labels_path)
 
 
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call, in bytes.  A first,
+    untraced call leaves out what only a first call costs (lazy imports)."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_idx_load_makes_one_float_copy(tmp_path):
+    # the raw pixel bytes plus the float64 sequences, and nothing near
+    # either size beside them
+    images = np.random.default_rng(2).integers(0, 256, size=(400, 28, 28), dtype=np.uint8)
+    paths = write_idx_fixture(tmp_path, images, np.arange(400) % 10)
+    ds, peak = traced_peak(load_idx_images, *paths)
+    assert np.array_equal(ds.sequences, images.astype(np.float64) / 255.0)
+    assert peak < images.nbytes + 1.1 * ds.sequences.nbytes
+
+
+def test_dataset_checks_its_values_without_an_array_their_size():
+    sequences = np.random.default_rng(3).random((200, 50, 10))
+    labels = np.arange(200) % 2
+    ds, peak = traced_peak(SequenceDataset, sequences, labels, 2)
+    assert ds.sequences is sequences
+    assert peak < sequences.size  # one bool per value would be this many bytes
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_refuses_a_value_that_is_not_finite(value):
+    sequences = np.zeros((3, 4, 2))
+    sequences[1, 2, 1] = value
+    with pytest.raises(DomainError, match="^sequence values must be finite$"):
+        SequenceDataset(sequences, [0, 1, 0], 2)
+
+
+def test_dataset_of_no_sequences_builds():
+    ds = SequenceDataset(np.zeros((0, 4, 2)), np.zeros(0, dtype=np.int64), 2)
+    assert (ds.n, ds.k, ds.input_size) == (0, 4, 2)
+
+
 def make_dataset(n=3, k=4, width=5, seed=0):
     rng = np.random.default_rng(seed)
     return SequenceDataset(rng.random((n, k, width)), rng.integers(0, 2, n), 2)
@@ -135,6 +181,52 @@ def test_synth_deterministic():
     b = synth_task("running-parity", 30, 4, 2, seed=7)
     assert np.array_equal(a.sequences, b.sequences)
     assert np.array_equal(a.labels, b.labels)
+
+
+# sha256 of sequences then labels, computed before synth_task built its
+# array in place: the desk and wide benchmark shapes and input_size 1
+SYNTH_DIGESTS = {
+    ("running-parity", 7, (4000, 16, 4)):
+        "e553b602568cb81d2506bc585d75c1daf34a1935566974a2243c35c6b7549786",
+    ("running-parity", 7, (1000, 16, 4)):
+        "1221b047945099151a9c0c226360525b89aa072448400b3babeb2923e14d3bed",
+    ("running-parity", 7, (300, 9, 1)):
+        "fe41bf94560aa673b8d58cf8802019d237cd52c1db3c2aa8ba6fb54032dea5ac",
+    ("running-parity", 11, (4000, 16, 4)):
+        "2f5591f4f19f3971f476472edd52076aa848f81059e170ea6a4fa201d4381d89",
+    ("running-parity", 11, (1000, 16, 4)):
+        "593aa836230ade835a8d36614051c295fbc8a423e26bfdd53ef7966581143119",
+    ("running-parity", 11, (300, 9, 1)):
+        "211b1800457e1c8aa12acdf6b3c1237084d9abcab35371d1e320e8f278ff247e",
+    ("mean-threshold", 7, (4000, 16, 4)):
+        "8f24199ebadf482e01d2d7a2e86f01b2cf8b6d5d798f4821b8e05230a0989ff9",
+    ("mean-threshold", 7, (1000, 16, 4)):
+        "7cb47d77d2fedb087ebddc14fda733c85c9cab37820598b456abe0a096f8ca35",
+    ("mean-threshold", 7, (300, 9, 1)):
+        "a69d8f91db1ea85be1d4eb55bf8871b42c784287fb9bf2d90a02ba77303eaf42",
+    ("mean-threshold", 11, (4000, 16, 4)):
+        "5b503e2c837ad813a3b77a1c0b65e195d46d1f77cdd75c956b379e323f243478",
+    ("mean-threshold", 11, (1000, 16, 4)):
+        "96ded27346857017e5544f66e17b8edc9414a9682f2029a480c7d48ee6a442b6",
+    ("mean-threshold", 11, (300, 9, 1)):
+        "2fb6545878f51f7d5d5ef24b45f72a8f384b818d06d12a123bf1e9eea2f05f94",
+}
+
+
+@pytest.mark.parametrize("kind, seed, shape", SYNTH_DIGESTS, ids=[
+    f"{kind}-seed{seed}-{'x'.join(map(str, shape))}" for kind, seed, shape in SYNTH_DIGESTS])
+def test_synth_bytes_are_pinned(kind, seed, shape):
+    ds = synth_task(kind, *shape, seed=seed)
+    digest = hashlib.sha256()
+    digest.update(ds.sequences)
+    digest.update(ds.labels)
+    assert digest.hexdigest() == SYNTH_DIGESTS[kind, seed, shape]
+
+
+@pytest.mark.parametrize("kind", ["running-parity", "mean-threshold"])
+def test_synth_peak_is_under_twice_what_it_returns(kind):
+    ds, peak = traced_peak(synth_task, kind, 4000, 16, 4, 7)
+    assert peak < 2 * (ds.sequences.nbytes + ds.labels.nbytes)
 
 
 def test_synth_rejects_unknown_kind():

@@ -1,6 +1,8 @@
 """numpy is the only runtime dependency of the package."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +26,11 @@ def test_every_absolute_import_is_the_standard_library_or_numpy():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert not outside, outside
+
+
+def test_importing_the_cli_loads_no_openssl():
+    # only a run that writes a snapshot digests its dataset
+    probe = "import sys, expanderprune.cli; print('_hashlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

@@ -16,6 +16,7 @@ from expanderprune.formats import (
     save_matrix_text,
 )
 from expanderprune.nets import LSTM, PruneMask, RecurrentParams, RNN, init_params
+from test_data import traced_peak
 
 
 def test_matrix_text_round_trip(tmp_path):
@@ -99,6 +100,19 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
         assert np.array_equal(loaded.tensors()[key], value)
     assert np.array_equal(loaded_mask.w_xh, mask.w_xh)
     assert np.array_equal(loaded_mask.w_hh, mask.w_hh)
+
+
+def test_checkpoint_load_reads_each_grid_into_its_array(tmp_path):
+    # the weights and bool masks it returns, and no second copy of a grid
+    params = init_params(4, 128, 10, LSTM, seed=6)
+    mask = PruneMask.full(params)
+    mask.w_hh[::3] = False
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, mask)
+    (loaded, loaded_mask), peak = traced_peak(load_checkpoint, path)
+    assert peak < 1.4 * path.stat().st_size
+    assert loaded_mask.w_hh.dtype == bool and np.array_equal(loaded_mask.w_hh, mask.w_hh)
+    assert np.array_equal(loaded.w_hh, params.w_hh)
 
 
 def test_checkpoint_bad_magic(tmp_path):
