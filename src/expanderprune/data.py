@@ -4,8 +4,8 @@ Sources: IDX image/label pairs turned into scanline sequences (one image
 row per time step), synthetic desk-scale tasks, and a generic CSV
 layout.  Datasets are immutable after construction; every generator is
 deterministic for a fixed seed.  IDX files are read through
-formats.read_exact, so a truncated file fails with FormatError at the
-byte offset where it ends.
+formats.read_exact, so a truncated file fails with FormatError naming
+the field and the byte offset where it starts.
 
 Sequence arrays dominate a run's memory, so each is held once: a loader
 makes one float64 copy of what it reads (IDX pixels are divided by 255
@@ -100,8 +100,7 @@ def _read_idx(path, magic, ndim) -> np.ndarray:
         if found != magic:
             raise FormatError(f"{path}: bad magic 0x{found:08x} at byte offset 0, expected 0x{magic:08x}")
         shape = struct.unpack(f">{ndim}I", read_exact(f, 4 * ndim, path, "dimensions"))
-        data = read_exact(f, math.prod(shape), path, "data")
-    return np.frombuffer(data, dtype=np.uint8).reshape(shape)
+        return read_exact(f, math.prod(shape), path, "data").reshape(shape)
 
 
 def load_idx_images(images_path, labels_path) -> SequenceDataset:
@@ -191,16 +190,17 @@ def load_csv_sequences(path) -> SequenceDataset:
     line is one sequence: the integer label, then k*input_size values in
     step-major order.  Ragged or malformed rows, bytes that are not
     UTF-8 and fields past the csv module's size limit raise FormatError
-    with their line number.
+    with the physical line they end on.
     """
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")  # the whole file first, so a fault is named by its line
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # decoded a line at a time: a whole-text StringIO holds 4 bytes a character
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
     try:
         header = next(reader, None)
         if header is None:
@@ -215,18 +215,18 @@ def load_csv_sequences(path) -> SequenceDataset:
             raise FormatError(f"{path}: line 1: header values must be >= 1")
         width = k * input_size
         sequences, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != width + 1:
                 raise FormatError(
-                    f"{path}: line {line_no}: expected {width + 1} fields, got {len(row)}"
+                    f"{path}: line {reader.line_num}: expected {width + 1} fields, got {len(row)}"
                 )
             try:
                 labels.append(int(row[0]))
-                sequences.append([float(v) for v in row[1:]])
+                sequences.append(np.array(row[1:], dtype=np.float64))  # float() on each field
             except ValueError as exc:
-                raise FormatError(f"{path}: line {line_no}: {exc}") from None
+                raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not sequences:

@@ -15,11 +15,12 @@ RPRM checkpoint (binary, little-endian)
     Save and load both walk ``_LAYOUT``, and every stored shape is checked
     against the header (a bias as 1 x n) before any grid is used.
 
-Every binary read checks its size against the bytes left before it
-allocates anything (``_check_left``), so a file that ends early fails
-with FormatError naming the field and its byte offset.  ``read_exact``
-returns the bytes of a field; a checkpoint's f64 grids are read straight
-into their arrays, and its masks are bool views of the unpacked bits.
+Every binary field of known size is read by ``read_exact``: it checks
+the size against the bytes left before it allocates anything, so a file
+that ends early fails with FormatError naming the field and its byte
+offset, and it reads into one fresh uint8 buffer.  Readers take views of
+that buffer: a checkpoint's f64 grids as little-endian floats, its masks
+as bool views of the unpacked bits, and IDX pixels by reshaping.
 
 Trajectory files are JSON lines, one record per line; non-finite floats
 are serialized as the strings "inf", "-inf", "nan".
@@ -66,7 +67,7 @@ def load_matrix_text(path) -> np.ndarray:
     if len(tokens) != rows * cols:
         raise FormatError(f"{path}: expected {rows * cols} values, found {len(tokens)}")
     try:
-        values = np.array([float(t) for t in tokens])
+        values = np.array(tokens, dtype=np.float64)  # float() on each token
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return values.reshape(rows, cols)
@@ -78,38 +79,25 @@ def _write_matrix(f, M: np.ndarray) -> None:
     f.write(M.reshape(-1).view(np.uint8))  # the array's own bytes, not a copy
 
 
-def _check_left(f, count, path, what) -> int:
-    """The offset of ``f``; FormatError naming ``what`` and that offset
-    when fewer than ``count`` bytes are left after it."""
-    start = f.tell()
-    if count > os.fstat(f.fileno()).st_size - start:
-        raise FormatError(f"{path}: truncated {what} at byte offset {start}")
-    return start
-
-
-def read_exact(f, count, path, what) -> bytes:
-    """The next ``count`` bytes of the file ``f``; FormatError naming
-    ``what`` and the byte offset where it starts when the file ends first.
+def read_exact(f, count, path, what) -> np.ndarray:
+    """The next ``count`` bytes of the file ``f`` as a fresh, writable uint8
+    array; FormatError naming ``what`` and the byte offset where it starts
+    when the file ends first.
 
     ``count`` is checked against the bytes left before anything is read,
     so a declared size larger than the file allocates nothing.
     """
-    start = _check_left(f, count, path, what)
-    data = f.read(count)
-    if len(data) != count:
-        raise FormatError(f"{path}: truncated {what} at byte offset {start}")
-    return data
+    start = f.tell()
+    if count <= os.fstat(f.fileno()).st_size - start:
+        data = np.empty(count, dtype=np.uint8)  # not bytearray, whose zero fill costs a pass
+        if f.readinto(data) == count:
+            return data
+    raise FormatError(f"{path}: truncated {what} at byte offset {start}")
 
 
 def _read_matrix(f, path) -> np.ndarray:
-    """The next matrix of ``f``, its grid read straight into an array made
-    only once _check_left has found that many bytes in the file."""
     rows, cols = struct.unpack("<II", read_exact(f, 8, path, "matrix header"))
-    start = _check_left(f, rows * cols * 8, path, "matrix data")
-    M = np.empty((rows, cols), dtype="<f8")
-    if f.readinto(M.reshape(-1).view(np.uint8)) != M.nbytes:
-        raise FormatError(f"{path}: truncated matrix data at byte offset {start}")
-    return M
+    return read_exact(f, rows * cols * 8, path, "matrix data").view("<f8").reshape(rows, cols)
 
 
 def _write_mask(f, mask: np.ndarray) -> None:
@@ -121,7 +109,7 @@ def _write_mask(f, mask: np.ndarray) -> None:
 def _read_mask(f, path) -> np.ndarray:
     rows, cols = struct.unpack("<II", read_exact(f, 8, path, "mask header"))
     data = read_exact(f, (rows * cols + 7) // 8, path, "mask data")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=rows * cols, bitorder="little")
+    bits = np.unpackbits(data, count=rows * cols, bitorder="little")
     return bits.view(bool).reshape(rows, cols)  # the 0/1 bytes as bools, not a copy
 
 
@@ -148,7 +136,7 @@ def save_checkpoint(path, params: RecurrentParams, mask: PruneMask) -> None:
 
 def load_checkpoint(path) -> tuple[RecurrentParams, PruneMask]:
     with open(path, "rb") as f:
-        magic = read_exact(f, len(CHECKPOINT_MAGIC), path, "magic")
+        magic = bytes(read_exact(f, len(CHECKPOINT_MAGIC), path, "magic"))
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
         version, cell_code = struct.unpack("<IB", read_exact(f, 5, path, "header"))

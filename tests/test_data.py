@@ -277,6 +277,23 @@ def test_csv_ragged_row_reports_line(tmp_path):
         load_csv_sequences(path)
 
 
+@pytest.mark.parametrize("bad_line", [b"1,0.75", b"1,\xff,0.75"], ids=["ragged", "not-utf8"])
+def test_csv_error_names_the_physical_line_its_row_ends_on(tmp_path, bad_line):
+    # the quoted field of the first sequence spans lines 2 and 3
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b'1,2,2\n0,"0.5\n",0.25\n' + bad_line + b"\n")
+    with pytest.raises(FormatError, match=r"bad\.csv: line 4: "):
+        load_csv_sequences(path)
+
+
+def test_csv_load_peaks_below_six_times_its_array(tmp_path):
+    # no Python float per value and no 4-byte-a-character copy of the text
+    path = tmp_path / "seq.csv"
+    save_csv_sequences(synth_task("mean-threshold", 2000, 16, 4, seed=0), path)
+    ds, peak = traced_peak(load_csv_sequences, path)
+    assert peak < 6 * ds.sequences.nbytes
+
+
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("k,w\n")

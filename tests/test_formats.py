@@ -1,9 +1,11 @@
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
 
+from expanderprune import formats
 from expanderprune.errors import FormatError
 from expanderprune.formats import (
     dump_json_line,
@@ -40,6 +42,14 @@ def test_matrix_text_wrong_count(tmp_path):
     path.write_text("matx 2 2\n1 2 3\n")
     with pytest.raises(FormatError, match="expected 4 values"):
         load_matrix_text(path)
+
+
+def test_matrix_text_load_peaks_below_eleven_times_its_array(tmp_path):
+    # the values go through one float64 array, not a list of Python floats
+    path = tmp_path / "m.matx"
+    save_matrix_text(np.random.default_rng(0).standard_normal((512, 512)), path)
+    M, peak = traced_peak(load_matrix_text, path)
+    assert peak < 11 * M.nbytes
 
 
 def test_matrix_text_bytes_are_pinned(tmp_path):
@@ -128,6 +138,21 @@ def test_checkpoint_truncation(tmp_path):
     save_checkpoint(path, params, PruneMask.full(params))
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("file_size", ["true", "overstated"])
+def test_checkpoint_cut_inside_a_grid_names_the_grid_and_its_offset(tmp_path, monkeypatch,
+                                                                   file_size):
+    # An overstated size passes the check made before the buffer is sized,
+    # so the read itself comes up short and is refused with the same text.
+    params = init_params(4, 4, 2, RNN, seed=5)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, PruneMask.full(params))
+    path.write_bytes(path.read_bytes()[:29 + 10])  # 21 header bytes, 8 for the W_xh shape
+    if file_size == "overstated":
+        monkeypatch.setattr(formats.os, "fstat", lambda fd: types.SimpleNamespace(st_size=2**40))
+    with pytest.raises(FormatError, match=r"model\.ckpt: truncated matrix data at byte offset 29$"):
         load_checkpoint(path)
 
 
