@@ -197,7 +197,9 @@ def load_csv_sequences(path) -> SequenceDataset:
     try:
         raw.decode("utf-8")  # the whole file first, so a fault is named by its line
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        # \r\n, a lone \r and a lone \n each end a line, as they do for the csv reader
+        end = exc.start
+        line = raw.count(b"\n", 0, end) + raw.count(b"\r", 0, end) - raw.count(b"\r\n", 0, end) + 1
         raise FormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
     # decoded a line at a time: a whole-text StringIO holds 4 bytes a character
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))

@@ -21,8 +21,12 @@ The inference pass behind ``forward`` and ``evaluate`` keeps only the
 running h and c (``forward`` also collects the h_t it returns), and
 ``evaluate`` feeds it 128-row chunks, so its peak is a few (128, 4H)
 step arrays whatever the dataset size.  Only ``loss_and_grads``
-builds the BPTT cache: a (k+1, n, H) state stack and each LSTM step's
-gates.  Every floating-point operation of both passes keeps the
+builds the BPTT cache: the RNN's h_t, or each LSTM step's gates
+(i, f, g, o) and its incoming c_t, five (n, H) arrays a step.  Its
+backward pass rebuilds tanh(c_t) and h_t = o_{t-1} * tanh(c_t) with the
+forward pass's own operations on the same operands, so they keep their
+bits, and drops each step's cache entry once it is used.  Every
+floating-point operation of both passes keeps the
 operands, order and association of the per-step reference in
 ``tests/oracles.py``, so losses, gradients and trained weights equal it
 bit for bit.  Logits keep their bits at any chunk size because a chunk
@@ -231,7 +235,9 @@ def forward(params: RecurrentParams, mask: PruneMask, sequences):
     vector; a batch (n, k, input_size) returns (n, class_count).
     """
     xs, single = _check_sequences(params, sequences)
-    hs = np.stack(list(_hidden_states(params, mask, xs)), axis=1)
+    hs = np.empty((xs.shape[0], xs.shape[1], params.hidden_size))
+    for t, h in enumerate(_hidden_states(params, mask, xs)):
+        hs[:, t] = h
     logits = hs[:, -1] @ params.w_hy.T + params.b_y
     if single:
         return logits[0], hs[0]
@@ -262,22 +268,24 @@ def loss_and_grads(params: RecurrentParams, mask: PruneMask, sequences, labels):
     H = params.hidden_size
     w_xh = params.w_xh * mask.w_xh
     w_hh = params.w_hh * mask.w_hh
-    hs = np.zeros((k + 1, n, H))  # hs[t] = h_t, so hs[0] = h_0 = 0
-    cache = []
-    c = hs[0]
+    h = c = np.zeros((n, H))  # h_0 = c_0 = 0
+    hs = [h]  # RNN: h_0, ..., h_k
+    cache = []  # LSTM: (i, f, g, o, c_t) of each step t
     for t in range(k):
-        z = xs[:, t] @ w_xh.T + hs[t] @ w_hh.T + params.b_h
+        z = xs[:, t] @ w_xh.T + h @ w_hh.T + params.b_h
         if params.cell_kind == RNN:
-            np.tanh(z, out=hs[t + 1])
+            h = np.tanh(z)
+            hs.append(h)
         else:
             i, f, g, o, c_next, tanh_c = _lstm_cell(z, c, H)
-            np.multiply(o, tanh_c, out=hs[t + 1])
-            cache.append((i, f, g, o, c, tanh_c))
+            h = o * tanh_c
+            cache.append((i, f, g, o, c))
             c = c_next
-    logits = hs[k] @ params.w_hy.T + params.b_y
+    del z
+    logits = h @ params.w_hy.T + params.b_y
     loss, dlogits = softmax_cross_entropy(logits, labels)
 
-    g_w_hy = dlogits.T @ hs[k]
+    g_w_hy = dlogits.T @ h
     g_b_y = dlogits.sum(axis=0)
     g_w_xh = np.zeros_like(params.w_xh)
     g_w_hh = np.zeros_like(params.w_hh)
@@ -288,9 +296,11 @@ def loss_and_grads(params: RecurrentParams, mask: PruneMask, sequences, labels):
     for t in range(k - 1, -1, -1):
         # dz is the gradient of the pre-activation z_t.
         if params.cell_kind == RNN:
-            dz = dh * (1.0 - hs[t + 1] ** 2)
+            dz = dh * (1.0 - hs.pop() ** 2)
+            h = hs[-1]
         else:
-            i, f, g, o, c_prev, tanh_c = cache[t]
+            # tanh_c is tanh(c_{t+1}), taken by the forward pass or the step after t
+            i, f, g, o, c_prev = cache.pop()
             do = dh * tanh_c
             dc = dc + dh * o * (1.0 - tanh_c ** 2)
             np.concatenate(
@@ -304,8 +314,14 @@ def loss_and_grads(params: RecurrentParams, mask: PruneMask, sequences, labels):
                 out=dz,
             )
             dc = dc * f
+            # rebuild h_t = o_{t-1} * tanh(c_t) with the forward pass's operations
+            if cache:
+                tanh_c = np.tanh(c_prev)
+                h = cache[-1][3] * tanh_c
+            else:
+                h = c_prev  # h_0 = c_0 = 0
         g_w_xh += dz.T @ xs[:, t]
-        g_w_hh += dz.T @ hs[t]
+        g_w_hh += dz.T @ h
         g_b_h += dz.sum(axis=0)
         dh = dz @ w_hh
 

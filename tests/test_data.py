@@ -286,6 +286,15 @@ def test_csv_error_names_the_physical_line_its_row_ends_on(tmp_path, bad_line):
         load_csv_sequences(path)
 
 
+@pytest.mark.parametrize("newline", [b"\r", b"\n", b"\r\n"], ids=["cr", "lf", "crlf"])
+@pytest.mark.parametrize("bad_line", [b"1,0.75", b"1,\xff,0.75"], ids=["ragged", "not-utf8"])
+def test_csv_error_counts_every_line_break_the_reader_does(tmp_path, newline, bad_line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(newline.join([b"2,1,2", b"1,2,2", b"0,0.5,0.25", bad_line, b""]))
+    with pytest.raises(FormatError, match=r"bad\.csv: line 4: "):
+        load_csv_sequences(path)
+
+
 def test_csv_load_peaks_below_six_times_its_array(tmp_path):
     # no Python float per value and no 4-byte-a-character copy of the text
     path = tmp_path / "seq.csv"

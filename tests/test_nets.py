@@ -27,6 +27,7 @@ from oracles import (
     reference_loss_and_grads,
     reference_train,
 )
+from test_data import traced_peak
 
 
 def test_init_respects_kaiming_bounds():
@@ -350,6 +351,27 @@ def test_evaluate_peak_is_a_few_chunk_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 128 * 4 * hidden * 8
+
+
+@pytest.mark.parametrize("cell", [RNN, LSTM])
+def test_forward_peak_is_its_output_and_a_few_step_arrays(cell):
+    # each h_t lands in the one (n, k, H) output: no list of k arrays to stack
+    n, k, hidden = 512, 64, 32
+    p, mask, xs, _ = _random_case(cell, k, n, 1, seed=45, hidden=hidden)
+    (_, hs), peak = traced_peak(forward, p, mask, xs)
+    assert peak < 1.5 * hs.nbytes
+
+
+@pytest.mark.parametrize("cell, blocks", [(RNN, 1.5), (LSTM, 5.5)])
+def test_bptt_memory_per_time_step(cell, blocks):
+    # the RNN keeps h_t a step; the LSTM keeps (i, f, g, o, c_t) and
+    # rebuilds tanh(c_t) and h_t on the way back
+    n, hidden = 64, 64
+    peaks = []
+    for k in (16, 48):
+        p, mask, xs, ys = _random_case(cell, k, n, 4, seed=47, hidden=hidden)
+        peaks.append(traced_peak(loss_and_grads, p, mask, xs, ys)[1])
+    assert (peaks[1] - peaks[0]) / 32 <= blocks * n * hidden * 8
 
 
 @pytest.mark.parametrize("labels", [np.zeros((10, 1), dtype=int), np.zeros(1, dtype=int),
