@@ -3,12 +3,13 @@
 Subcommands: analyze | prune | unroll | report | train.  Input matrices
 come either as matx text files or RPRM checkpoints (detected by magic),
 and analyze and unroll read both through one block walker, which checks
-each matrix it reads.  unroll takes a checkpoint's time-step blocks: the
-RNN's W_hh, or each LSTM gate block of W_hh, with its mask applied, and
-refuses a block before its first SVD.  Relative output paths resolve
-under $EXP_HOME when it is set.  Every error, a usage error,
-out-of-memory and an interrupt included, exits nonzero with a single
-machine-parsable line on stderr:
+each matrix it reads.  analyze builds each layer graph in the weights it
+read, one mode at a time.  unroll takes a checkpoint's time-step blocks:
+the RNN's W_hh, or each LSTM gate block of W_hh, with its mask applied in
+place, and refuses a block before its first SVD.  Neither writes to the
+file it read.  Relative output paths resolve under $EXP_HOME when it is
+set.  Every error, a usage error, out-of-memory and an interrupt
+included, exits nonzero with a single machine-parsable line on stderr:
 
     error: <CODE>: <message>
 """
@@ -35,7 +36,7 @@ from .formats import (
     sanitize_json,
     save_checkpoint,
 )
-from .graphs import MODES, build_bipartite, spectral_gaps
+from .graphs import MODES, build_bipartite_in_place, spectral_gaps
 from .linalg import as_dense_matrix
 from .nets import GATES, LSTM, evaluate
 from .pruning import (
@@ -119,12 +120,16 @@ def _print_reported(out, entries) -> int:
 
 @_naming_input
 def cmd_analyze(args) -> int:
-    # One mode's graph is built at a time: one copy of the block beside the weights.
-    reports = [_entry({"layer": label, "mode": mode},
-                      lambda: asdict(spectral_gaps(build_bipartite(weights, keep, mode))))
-               for label, weights, keep in
-               _blocks(args.path, _LAYER_FLAGS[args.layer], args.per_gate)
+    # Each graph is built in the weights _blocks read, so no copy of a block sits
+    # beside them.  That takes one mode at a time over every block, in MODES order:
+    # the unweighted rule gives the same graph on a weighted block as on its weights,
+    # and a gate block, a view of its layer, is left as its layer's rule made it.
+    blocks = _blocks(args.path, _LAYER_FLAGS[args.layer], args.per_gate)
+    by_mode = [[_entry({"layer": label, "mode": mode},
+                       lambda: asdict(spectral_gaps(build_bipartite_in_place(weights, keep, mode))))
+                for label, weights, keep in blocks]
                for mode in _MODE_FLAGS[args.mode]]
+    reports = [entry for block in zip(*by_mode) for entry in block]  # block by block
     return _print_reported({"source": args.path, "reports": reports}, reports)
 
 
@@ -221,7 +226,8 @@ def cmd_unroll(args) -> int:
     if keep is None:
         _print_json({"source": args.path, "k": args.k, **_unrolled(B, args)})
         return 0
-    entries = [_entry({"layer": label}, lambda: _unrolled(weights * kept, args))
+    entries = [_entry({"layer": label},
+                      lambda: _unrolled(np.multiply(weights, kept, out=weights), args))
                for label, weights, kept in gates or [("w_hh", B, keep)]]
     return _print_reported({"source": args.path, "k": args.k, "blocks": entries}, entries)
 

@@ -20,8 +20,10 @@ bipartite graph, refused when it has no edge, whose biadjacency holds
   at or below numpy's rank tolerance lambda1 * max(m, n) * eps counts
   as zero and gives +inf.
 
-Every layer-graph spectrum is a dense SVD of its m x n block; the
-(m+n)^2 adjacency and Laplacian are never formed.
+build_bipartite_in_place writes the graph into the weights its caller
+gives up; build_bipartite runs the same rule on a copy.  Every
+layer-graph spectrum is a dense SVD of its m x n block; the (m+n)^2
+adjacency and Laplacian are never formed.
 normalized_laplacian_eigenvalues remains for general graphs.
 
 Exact brute-force Cheeger constants of undirected graphs up to 20
@@ -83,21 +85,34 @@ class SpectralReport:
     ramanujan: bool
 
 
-def build_bipartite(W, mask=None, mode: str = WEIGHTED) -> BipartiteGraph:
-    """Layer graph of a weight matrix under a prune mask.
+def build_bipartite_in_place(W: np.ndarray, mask, mode: str) -> BipartiteGraph:
+    """Layer graph of float64 weights W under a prune mask (None keeps every
+    entry), built in W's own memory: the caller gives W up.
 
-    Weighted mode stores |w| for every kept entry; unweighted mode
-    stores 1 wherever a kept entry is nonzero.
+    Weighted mode stores |w| for every kept entry; unweighted mode stores 1
+    wherever a kept entry is nonzero.  W's values, the mask's shape and the
+    mode are checked before anything is written.  A rule run on its own result
+    leaves it as it is, and the unweighted rule run on a weighted graph gives
+    the unweighted graph of its weights.
     """
     W = as_dense_matrix(W)
-    mask = as_mask(np.ones(W.shape, dtype=bool) if mask is None else mask, W.shape)
+    if mask is not None:
+        mask = as_mask(mask, W.shape)
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}")
     if mode == WEIGHTED:
-        biadj = np.abs(W) * mask
+        np.abs(W, out=W)
     else:
-        biadj = ((W != 0) & mask).astype(np.float64)
-    return BipartiteGraph(biadj, mode)
+        np.not_equal(W, 0.0, out=W)
+    if mask is not None:
+        W *= mask
+    return BipartiteGraph(W, mode)
+
+
+def build_bipartite(W, mask=None, mode: str = WEIGHTED) -> BipartiteGraph:
+    """Layer graph of a weight matrix under a prune mask, built in a float64
+    copy of W (in W's memory order) that leaves W and the mask as they are."""
+    return build_bipartite_in_place(np.array(W, dtype=np.float64), mask, mode)
 
 
 def _gap(base: float, lambda2: float, lambda2_floor: float) -> float:

@@ -291,8 +291,9 @@ def loss_and_grads(params: RecurrentParams, mask: PruneMask, sequences, labels):
     g_w_hh = np.zeros_like(params.w_hh)
     g_b_h = np.zeros_like(params.b_h)
     dh = dlogits @ params.w_hy
-    dc = np.zeros((n, H))
-    dz = np.empty((n, 4 * H))
+    if params.cell_kind == LSTM:  # the RNN's dz is made by its first step
+        dc = np.zeros((n, H))
+        dz = np.empty((n, 4 * H))
     for t in range(k - 1, -1, -1):
         # dz is the gradient of the pre-activation z_t.
         if params.cell_kind == RNN:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError
-from .graphs import SpectralReport, WEIGHTED, _assemble_report, bipartite_alpha2, build_bipartite
+from .graphs import (SpectralReport, WEIGHTED, _assemble_report, bipartite_alpha2,
+                     build_bipartite_in_place)
 from .linalg import (
     SYMMETRY_ATOL,
     as_dense_matrix,
@@ -111,12 +112,13 @@ def closed_form_spectrum(spec: UnrolledSpec) -> np.ndarray:
 def unrolled_gap_report(spec: UnrolledSpec, mode: str = WEIGHTED) -> SpectralReport:
     """Spectral report of the unrolled graph.
 
-    The parity block C becomes a layer graph exactly as a weight matrix
-    does (|C| or its support, by mode, refused with no edge), and its
-    report is assembled as spectral_gaps assembles a layer's, from the
-    same terms of the same graph.  With k = 1, C is the block itself and
-    this is the layerwise report of B.
+    The parity block C, built for this report alone, becomes a layer graph
+    in its own memory exactly as a weight matrix does (|C| or its support,
+    by mode, refused with no edge), and its report is assembled as
+    spectral_gaps assembles a layer's, from the same terms of the same
+    graph.  With k = 1, C is the block itself and this is the layerwise
+    report of B.
     """
-    g = build_bipartite(parity_block(spec), mode=mode)
+    g = build_bipartite_in_place(parity_block(spec), None, mode)
     return _assemble_report(g, top_two_singular_values(g.biadjacency),
                             bipartite_alpha2(g.biadjacency))

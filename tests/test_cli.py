@@ -15,11 +15,14 @@ import pytest
 
 from expanderprune import cli, pruning
 from expanderprune.cli import main
-from expanderprune.formats import dump_json_line, load_checkpoint, save_checkpoint, save_matrix_text
-from expanderprune.nets import LSTM, PruneMask, init_params
+from expanderprune.errors import DegenerateGraphError
+from expanderprune.formats import (dump_json_line, load_checkpoint, load_matrix_text,
+                                   sanitize_json, save_checkpoint, save_matrix_text)
+from expanderprune.graphs import build_bipartite, spectral_gaps
+from expanderprune.nets import LSTM, RNN, PruneMask, init_params
 from expanderprune.pruning import RunDirectory
 from expanderprune.svgplot import render_trajectory
-from test_data import write_idx_fixture
+from test_data import traced_peak, write_idx_fixture
 from test_pruning import fake_record, tiny_run, trajectory_from_gaps
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -163,6 +166,89 @@ def test_analyze_reports_every_block_beside_an_edgeless_layer(tmp_path, capsys):
     # With no block left that has an edge, there is nothing to report.
     code, out, err = run_cli(capsys, "analyze", str(ckpt), "--layer", "wxh", "--per-gate")
     assert (code, out, err) == (2, "", f"error: EDEGENERATE: {ckpt}: graph has no edges\n")
+
+
+def _layer_file(tmp_path, kind):
+    """A 6x6 matx matrix, or an RNN or LSTM checkpoint with a pruned mask.  Each
+    holds kept exact zeros and negative zeros; the LSTM's W_hh f gate keeps no edge."""
+    rng = np.random.default_rng(61)
+    if kind == "matx":
+        W = rng.standard_normal((6, 6))
+        W[0, :2] = 0.0, -0.0
+        path = tmp_path / "w.matx"
+        save_matrix_text(W, path)
+        return path
+    params = init_params(3, 4, 2, kind, seed=62)
+    mask = PruneMask(rng.random(params.w_xh.shape) < 0.7, rng.random(params.w_hh.shape) < 0.7)
+    params.w_hh[0, :2] = 0.0, -0.0
+    mask.w_hh[0, :2] = True
+    if kind == LSTM:
+        mask.w_hh[4:8] = False
+    path = tmp_path / f"{kind}.ckpt"
+    save_checkpoint(path, params, mask)
+    return path
+
+
+def _reports_of_fresh_copies(path, layers, modes):
+    """analyze's reports for ``layers`` (with each LSTM gate) in ``modes``, each
+    from build_bipartite on a fresh load of ``path``, which copies the block."""
+    if path.suffix == ".matx":
+        blocks = [("matrix", load_matrix_text(path), None)]
+    else:
+        params, mask = load_checkpoint(path)
+        H = params.hidden_size
+        parts = [("", slice(None))]
+        if params.cell_kind == LSTM:
+            parts += [(f"[{gate}]", slice(g * H, (g + 1) * H)) for g, gate in enumerate("ifgo")]
+        blocks = [(layer + suffix, getattr(params, layer)[rows], getattr(mask, layer)[rows])
+                  for layer in layers for suffix, rows in parts]
+    reports = []
+    for label, W, keep in blocks:
+        for mode in modes:
+            try:
+                report = asdict(spectral_gaps(build_bipartite(W, keep, mode)))
+            except DegenerateGraphError as exc:
+                report = {"error": exc.code}
+            reports.append({"layer": label, "mode": mode, **report})
+    return json.loads(json.dumps(sanitize_json(reports)))
+
+
+@pytest.mark.parametrize("layer, layers", [("wxh", ("w_xh",)), ("whh", ("w_hh",)),
+                                           ("all", ("w_xh", "w_hh"))])
+@pytest.mark.parametrize("mode, modes", [("weighted", ("weighted",)),
+                                         ("unweighted", ("unweighted",)),
+                                         ("both", ("weighted", "unweighted"))])
+@pytest.mark.parametrize("kind", ["matx", RNN, LSTM])
+def test_analyze_reports_what_build_bipartite_gives_on_a_fresh_copy(
+        tmp_path, capsys, kind, mode, modes, layer, layers):
+    path = _layer_file(tmp_path, kind)
+    code, out, err = run_cli(capsys, "analyze", str(path), "--mode", mode, "--layer", layer,
+                             "--per-gate")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["reports"] == _reports_of_fresh_copies(path, layers, modes)
+
+
+@pytest.mark.parametrize("kind", ["matx", RNN, LSTM])
+def test_analyze_and_unroll_leave_the_file_they_read_as_it_was(tmp_path, capsys, kind):
+    # both commands write into the arrays they read, which must never be the file
+    path = _layer_file(tmp_path, kind)
+    os.utime(path, ns=(10**18, 10**18))
+    before = path.read_bytes(), path.stat().st_mtime_ns
+    for argv in (["analyze", str(path), "--per-gate"], ["unroll", str(path), "--k", "2"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+
+
+def test_analyze_holds_no_copy_of_a_layer_beside_its_weights(tmp_path, capsys):
+    # each graph is built in the weights read from the file, so beside them
+    # the peak holds alpha2's normalized block and little else
+    params = init_params(4, 256, 2, LSTM, seed=64)
+    ckpt = tmp_path / "h256.ckpt"
+    save_checkpoint(ckpt, params, PruneMask.full(params))
+    code, peak = traced_peak(main, ["analyze", str(ckpt), "--layer", "whh"])
+    capsys.readouterr()
+    assert code == 0 and peak <= 2.6 * params.w_hh.nbytes
 
 
 def _checkpoint_with_empty_bias(path, bias):

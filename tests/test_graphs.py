@@ -11,6 +11,7 @@ from expanderprune.graphs import (
     BipartiteGraph,
     bipartite_alpha2,
     build_bipartite,
+    build_bipartite_in_place,
     cheeger_bounds,
     edge_cheeger_bruteforce,
     edge_conductance_bruteforce,
@@ -64,6 +65,62 @@ def test_build_bipartite_zero_weights_degenerate():
 def test_build_bipartite_shape_mismatch():
     with pytest.raises(ShapeError):
         build_bipartite(np.ones((2, 2)), np.ones((2, 3), dtype=bool), WEIGHTED)
+
+
+def _signed_weights(seed, shape=(6, 5)):
+    """Weights with exact zeros and negative zeros, and a mask that drops some of each."""
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal(shape)
+    W[0, :2], W[1, :2] = 0.0, -0.0
+    mask = rng.random(shape) < 0.6
+    mask[0, 0] = mask[1, 0] = True
+    return W, mask
+
+
+@pytest.mark.parametrize("form", ["float", "int", "transposed"])
+@pytest.mark.parametrize("mode", [WEIGHTED, UNWEIGHTED])
+def test_build_bipartite_leaves_its_inputs_as_they_are(form, mode):
+    W, mask = _signed_weights(21)
+    if form == "int":
+        W = np.rint(3 * W).astype(np.int64)
+    elif form == "transposed":
+        W, mask = W.T, mask.T  # column-major views
+    before = W.tobytes(), mask.tobytes()
+    g = build_bipartite(W, mask, mode)
+    assert (W.tobytes(), mask.tobytes()) == before
+    # the rule before it was built in place: a fresh array in W's memory order
+    F = np.asarray(W, dtype=np.float64)
+    want = np.abs(F) * mask if mode == WEIGHTED else ((F != 0) & mask).astype(np.float64)
+    assert g.biadjacency.tobytes() == want.tobytes()
+    assert g.biadjacency.flags.f_contiguous == (form == "transposed")
+
+
+@pytest.mark.parametrize("mode, mask", [
+    ("spectral", None),
+    ("spectral", np.ones((6, 5), dtype=bool)),
+    (WEIGHTED, np.ones((5, 6), dtype=bool)),
+    (UNWEIGHTED, np.ones((6, 4), dtype=bool)),
+], ids=["unknown-mode", "unknown-mode-masked", "transposed-mask", "narrow-mask"])
+def test_the_in_place_rule_writes_nothing_it_refuses(mode, mask):
+    W, _ = _signed_weights(22)
+    before = W.tobytes()
+    with pytest.raises(DomainError if mode == "spectral" else ShapeError):
+        build_bipartite_in_place(W, mask, mode)
+    assert W.tobytes() == before
+
+
+def test_the_in_place_rule_is_its_own_fixed_point_and_unweighted_needs_only_support():
+    W, mask = _signed_weights(23)
+    for mode in (WEIGHTED, UNWEIGHTED):
+        once = build_bipartite(W, mask, mode).biadjacency
+        block = once.copy()
+        g = build_bipartite_in_place(block, mask, mode)
+        assert g.biadjacency is block and block.tobytes() == once.tobytes()
+    # weighted, then unweighted on the result, is the unweighted graph of W
+    block = W.copy()
+    build_bipartite_in_place(block, mask, WEIGHTED)
+    build_bipartite_in_place(block, mask, UNWEIGHTED)
+    assert block.tobytes() == build_bipartite(W, mask, UNWEIGHTED).biadjacency.tobytes()
 
 
 @pytest.mark.parametrize("W, mode, d_avg", [

@@ -374,6 +374,15 @@ def test_bptt_memory_per_time_step(cell, blocks):
     assert (peaks[1] - peaks[0]) / 32 <= blocks * n * hidden * 8
 
 
+def test_rnn_bptt_holds_no_lstm_gate_buffer():
+    # the RNN's peak is its k + 1 states h_t and a few (n, H) arrays beside
+    # them; an (n, 4H) gate-gradient buffer alone would be four more
+    n, k, hidden = 100, 16, 128
+    p, mask, xs, ys = _random_case(RNN, k, n, 4, seed=47, hidden=hidden)
+    _, peak = traced_peak(loss_and_grads, p, mask, xs, ys)
+    assert peak < (k + 1 + 7) * n * hidden * 8
+
+
 @pytest.mark.parametrize("labels", [np.zeros((10, 1), dtype=int), np.zeros(1, dtype=int),
                                     np.zeros(7, dtype=int)],
                          ids=["column", "length-1", "length-7"])
