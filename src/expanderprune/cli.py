@@ -3,8 +3,10 @@
 Subcommands: analyze | prune | unroll | report | train.  Input matrices
 come either as matx text files or RPRM checkpoints (detected by magic),
 and analyze and unroll read both through one block walker, which checks
-each matrix it reads.  analyze builds each layer graph in the weights it
-read, one mode at a time.  unroll takes a checkpoint's time-step blocks:
+each matrix it reads.  analyze reports each LSTM gate block on a copy,
+then builds the layer's graph in the weights it read, which its report
+uses up; with both modes it keeps the layer's support aside for the
+unweighted graph.  unroll takes a checkpoint's time-step blocks:
 the RNN's W_hh, or each LSTM gate block of W_hh, with its mask applied in
 place, and refuses a block before its first SVD.  Neither writes to the
 file it read.  Relative output paths resolve under $EXP_HOME when it is
@@ -36,7 +38,7 @@ from .formats import (
     sanitize_json,
     save_checkpoint,
 )
-from .graphs import MODES, build_bipartite_in_place, spectral_gaps
+from .graphs import MODES, UNWEIGHTED, build_bipartite, build_bipartite_in_place, spectral_gaps
 from .linalg import as_dense_matrix
 from .nets import GATES, LSTM, evaluate
 from .pruning import (
@@ -48,7 +50,7 @@ from .pruning import (
     start_run,
     train_dense,
 )
-from .svgplot import render_trajectory
+from .svgplot import render_trajectory, table_path
 from .unrolled import UnrolledSpec, closed_form_spectrum, unrolled_gap_report, unrolled_spectrum
 
 # No command calls these any more, but benchmarks/tracing.py patches both
@@ -93,21 +95,23 @@ def _naming_input(command):
 
 
 def _blocks(path, layers, per_gate):
-    """Each (label, weights, keep) block at ``path``: a matx file's one matrix (keep None), or
-    each of ``layers`` of an RPRM checkpoint, then views of its LSTM gates if ``per_gate``.
+    """Each (label, weights, keep, gates) layer at ``path``: a matx file's one matrix (keep
+    None), or each of ``layers`` of an RPRM checkpoint, where ``gates`` lists the (label,
+    weights, keep) views of its LSTM gates if ``per_gate``.
     A file whose first bytes are ``RPRM`` or a prefix of it (a checkpoint torn inside its
     magic, the empty file too) is a checkpoint; any other is matx text.
     Each matrix passes as_dense_matrix as it is read, so a bad layer refuses before any SVD."""
     with open(path, "rb") as f:
         if not CHECKPOINT_MAGIC.startswith(f.read(len(CHECKPOINT_MAGIC))):
-            return [("matrix", as_dense_matrix(load_matrix_text(path)), None)]
+            return [("matrix", as_dense_matrix(load_matrix_text(path)), None, [])]
     params, mask = load_checkpoint(path)
     H = params.hidden_size
     gates = enumerate(GATES) if per_gate and params.cell_kind == LSTM else ()
-    parts = [("", slice(None))] + [(f"[{gate}]", slice(g * H, (g + 1) * H)) for g, gate in gates]
+    rows = [(f"[{gate}]", slice(g * H, (g + 1) * H)) for g, gate in gates]
     weights = {layer: as_dense_matrix(getattr(params, layer)) for layer in layers}
-    return [(layer + suffix, weights[layer][rows], getattr(mask, layer)[rows])
-            for layer in layers for suffix, rows in parts]
+    return [(layer, weights[layer], getattr(mask, layer),
+             [(layer + suffix, weights[layer][r], getattr(mask, layer)[r]) for suffix, r in rows])
+            for layer in layers]
 
 
 def _print_reported(out, entries) -> int:
@@ -120,16 +124,25 @@ def _print_reported(out, entries) -> int:
 
 @_naming_input
 def cmd_analyze(args) -> int:
-    # Each graph is built in the weights _blocks read, so no copy of a block sits
-    # beside them.  That takes one mode at a time over every block, in MODES order:
-    # the unweighted rule gives the same graph on a weighted block as on its weights,
-    # and a gate block, a view of its layer, is left as its layer's rule made it.
-    blocks = _blocks(args.path, _LAYER_FLAGS[args.layer], args.per_gate)
-    by_mode = [[_entry({"layer": label, "mode": mode},
-                       lambda: asdict(spectral_gaps(build_bipartite_in_place(weights, keep, mode))))
-                for label, weights, keep in blocks]
-               for mode in _MODE_FLAGS[args.mode]]
-    reports = [entry for block in zip(*by_mode) for entry in block]  # block by block
+    # A report uses its graph up, so no copy of a layer sits beside the weights _blocks
+    # read: each gate block, a view of its layer, is reported on a copy first, and the
+    # layer last, in its weights.  The weighted report (MODES puts it first) leaves them
+    # divided by their degrees, where an entry can underflow to 0, so with both modes
+    # the layer's support is kept aside, one byte an entry, for the unweighted graph.
+    modes = _MODE_FLAGS[args.mode]
+    reports = []
+    for label, weights, keep, gates in _blocks(args.path, _LAYER_FLAGS[args.layer],
+                                               args.per_gate):
+        by_gate = [_entry({"layer": gate, "mode": mode},
+                          lambda: asdict(spectral_gaps(build_bipartite(view, kept, mode))))
+                   for gate, view, kept in gates for mode in modes]
+        support = weights != 0 if len(modes) > 1 else None
+        for mode in modes:
+            if mode == UNWEIGHTED and support is not None:
+                np.copyto(weights, support)
+            reports.append(_entry({"layer": label, "mode": mode}, lambda: asdict(
+                spectral_gaps(build_bipartite_in_place(weights, keep, mode)))))
+        reports += by_gate  # printed block by block
     return _print_reported({"source": args.path, "reports": reports}, reports)
 
 
@@ -222,7 +235,7 @@ def _unrolled(B, args) -> dict:
 def cmd_unroll(args) -> int:
     """A matx block's unrolled chain, or one entry for each time-step block
     of a checkpoint's masked W_hh: the RNN's W_hh or each LSTM gate block."""
-    (_, B, keep), *gates = _blocks(args.path, ("w_hh",), per_gate=True)
+    ((_, B, keep, gates),) = _blocks(args.path, ("w_hh",), per_gate=True)
     if keep is None:
         _print_json({"source": args.path, "k": args.k, **_unrolled(B, args)})
         return 0
@@ -237,6 +250,9 @@ def cmd_report(args) -> int:
     if not records:
         raise DomainError(f"{args.path}: trajectory is empty")
     out_svg = _resolve_out(args.out) if args.out else os.path.splitext(args.path)[0] + ".svg"
+    for out in (out_svg, table_path(out_svg)):
+        if os.path.exists(out) and os.path.samefile(out, args.path):
+            raise DomainError(f"{out}: the report would overwrite the trajectory it reads")
     out_csv = render_trajectory(records, out_svg)
     _print_json({"svg": out_svg, "csv": out_csv, "records": len(records)})
     return 0

@@ -21,9 +21,12 @@ bipartite graph, refused when it has no edge, whose biadjacency holds
   as zero and gives +inf.
 
 build_bipartite_in_place writes the graph into the weights its caller
-gives up; build_bipartite runs the same rule on a copy.  Every
-layer-graph spectrum is a dense SVD of its m x n block; the (m+n)^2
-adjacency and Laplacian are never formed.
+gives up; build_bipartite runs the same rule on a copy.  A report uses
+its graph up in turn: it reads the top two singular values, then the
+degrees, and last alpha2, which divides the block by its degrees in
+place when no row or column is isolated.  bipartite_alpha2 leaves its
+block alone.  Every layer-graph spectrum is a dense SVD of its m x n
+block; the (m+n)^2 adjacency and Laplacian are never formed.
 normalized_laplacian_eigenvalues remains for general graphs.
 
 Exact brute-force Cheeger constants of undirected graphs up to 20
@@ -131,14 +134,16 @@ def _gap(base: float, lambda2: float, lambda2_floor: float) -> float:
 
 
 def _assemble_report(g: BipartiteGraph, top_two: tuple[float, float],
-                     alpha2: float) -> SpectralReport:
-    """Report of layer graph g from its block's top two singular values and alpha2."""
+                     alpha2_of) -> SpectralReport:
+    """Report of layer graph g from its block's top two singular values, its
+    degrees and alpha2_of(g), called last because it may use g up."""
     lambda1, lambda2 = top_two
     B = g.biadjacency
     d_avg = float(np.concatenate([B.sum(axis=1), B.sum(axis=0)]).mean())
-    lower, upper = cheeger_bounds(alpha2)
     # numpy's matrix_rank tolerance: sigma2 at or below it is rounding noise
     floor = lambda1 * max(B.shape) * _EPS
+    alpha2 = alpha2_of(g)
+    lower, upper = cheeger_bounds(alpha2)
     delta_s = _gap(lambda1, lambda2, floor)
     if g.mode == UNWEIGHTED:
         delta_r = _gap(d_avg, lambda2, floor)
@@ -161,9 +166,10 @@ def _assemble_report(g: BipartiteGraph, top_two: tuple[float, float],
 
 
 def spectral_gaps(g: BipartiteGraph) -> SpectralReport:
-    """Full spectral report of a layer graph (lambda1 = sigma1(B) etc.)."""
+    """Full spectral report of a layer graph (lambda1 = sigma1(B) etc.).  It
+    uses g up: alpha2, read last, may leave g's block divided by its degrees."""
     return _assemble_report(g, top_two_singular_values(g.biadjacency),
-                            normalized_laplacian_alpha2(g))
+                            normalized_laplacian_alpha2)
 
 
 def normalized_laplacian_eigenvalues(adjacency: np.ndarray) -> np.ndarray:
@@ -185,6 +191,20 @@ def normalized_laplacian_eigenvalues(adjacency: np.ndarray) -> np.ndarray:
     return np.clip(eigs, 0.0, 2.0)
 
 
+def _block_alpha2(B: np.ndarray, owned: bool) -> float:
+    """alpha2 of the float64 biadjacency B (see bipartite_alpha2).  An ``owned``
+    B with no isolated row or column is itself the normalized block; any other
+    B is left alone, and its gathered non-isolated part is the one copy."""
+    row_deg, col_deg = B.sum(axis=1), B.sum(axis=0)
+    rows, cols = row_deg > 0, col_deg > 0
+    if int(rows.sum() + cols.sum()) < 2:
+        raise DegenerateGraphError("fewer than 2 non-isolated vertices")
+    N = B if owned and rows.all() and cols.all() else B[np.ix_(rows, cols)]
+    N /= np.sqrt(row_deg[rows])[:, None]
+    N /= np.sqrt(col_deg[cols])[None, :]
+    return float(np.clip(1.0 - bipartite_spectrum(N)[1], 0.0, 2.0))
+
+
 def bipartite_alpha2(B: np.ndarray) -> float:
     """Second-smallest normalized-Laplacian eigenvalue of a bipartite graph.
 
@@ -192,23 +212,19 @@ def bipartite_alpha2(B: np.ndarray) -> float:
     normalized adjacency D^{-1/2} A D^{-1/2} is the bipartite adjacency
     of N = D_L^{-1/2} B D_R^{-1/2}, so alpha2 is 1 minus the second entry
     of bipartite_spectrum(N): one SVD of the block, no (m+n)^2 matrix.
-    Any real dtype is read as float64; the gathered block N is the one
-    copy of B, and both divisions run in place on it.
+    Any real dtype is read as float64.  B is left as it was: the gathered
+    block N is the one copy of B, and both divisions run in place on it.
     """
-    B = np.asarray(B, dtype=np.float64)
-    row_deg, col_deg = B.sum(axis=1), B.sum(axis=0)
-    rows, cols = row_deg > 0, col_deg > 0
-    if int(rows.sum() + cols.sum()) < 2:
-        raise DegenerateGraphError("fewer than 2 non-isolated vertices")
-    N = B[np.ix_(rows, cols)]
-    N /= np.sqrt(row_deg[rows])[:, None]
-    N /= np.sqrt(col_deg[cols])[None, :]
-    return float(np.clip(1.0 - bipartite_spectrum(N)[1], 0.0, 2.0))
+    return _block_alpha2(np.asarray(B, dtype=np.float64), owned=False)
 
 
 def normalized_laplacian_alpha2(g: BipartiteGraph) -> float:
-    """Second-smallest normalized-Laplacian eigenvalue of the layer graph."""
-    return bipartite_alpha2(g.biadjacency)
+    """Second-smallest normalized-Laplacian eigenvalue of the layer graph, as
+    bipartite_alpha2 computes it.  It uses g up: when no row or column is
+    isolated and the block is writeable float64, the block itself is divided
+    by its degrees, so no copy of it is made."""
+    B = np.asarray(g.biadjacency, dtype=np.float64)
+    return _block_alpha2(B, owned=B.flags.writeable)
 
 
 def cheeger_bounds(alpha2: float) -> tuple[float, float]:

@@ -71,13 +71,18 @@ def trajectory_table(records: list[PruneRecord]) -> tuple[list[str], list[list]]
     return header, rows
 
 
+def table_path(svg_path) -> str:
+    """The path of the CSV table written beside the figure at ``svg_path``."""
+    return os.path.splitext(svg_path)[0] + ".csv"
+
+
 def render_trajectory(records: list[PruneRecord], svg_path) -> str:
-    """Write the dual-axis SVG figure and its CSV table beside it (the
-    SVG path with its extension replaced by .csv); returns the CSV path.
+    """Write the dual-axis SVG figure and its CSV table beside it (at
+    table_path(svg_path)); returns the CSV path.
     Each panel plots its columns of that table, found by header name."""
     if not records:
         raise DomainError("trajectory is empty")
-    csv_path = os.path.splitext(svg_path)[0] + ".csv"
+    csv_path = table_path(svg_path)
     if csv_path == svg_path:
         raise DomainError(f"{svg_path}: the figure would overwrite its own CSV table")
     header, rows = trajectory_table(records)

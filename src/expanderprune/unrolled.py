@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError
-from .graphs import (SpectralReport, WEIGHTED, _assemble_report, bipartite_alpha2,
-                     build_bipartite_in_place)
+from .graphs import (SpectralReport, WEIGHTED, _assemble_report, build_bipartite_in_place,
+                     normalized_laplacian_alpha2)
 from .linalg import (
     SYMMETRY_ATOL,
     as_dense_matrix,
@@ -116,9 +116,11 @@ def unrolled_gap_report(spec: UnrolledSpec, mode: str = WEIGHTED) -> SpectralRep
     in its own memory exactly as a weight matrix does (|C| or its support,
     by mode, refused with no edge), and its report is assembled as
     spectral_gaps assembles a layer's, from the same terms of the same
-    graph.  With k = 1, C is the block itself and this is the layerwise
-    report of B.
+    graph in the same order, which uses C up.  Both helpers are bound in
+    this module, so benchmarks/tracing.py, which patches them in graphs,
+    does not count a report here as a layer's.
+    With k = 1, C is the block itself and this is the layerwise report of B.
     """
     g = build_bipartite_in_place(parity_block(spec), None, mode)
     return _assemble_report(g, top_two_singular_values(g.biadjacency),
-                            bipartite_alpha2(g.biadjacency))
+                            normalized_laplacian_alpha2)

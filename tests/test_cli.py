@@ -168,10 +168,26 @@ def test_analyze_reports_every_block_beside_an_edgeless_layer(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: EDEGENERATE: {ckpt}: graph has no edges\n")
 
 
+# Divided by its degrees, this block's 5e-324 entry underflows to 0: 3 edges become 2.
+UNDERFLOW = np.array([[1e300, 5e-324], [0.0, 1e300]])
+
+
 def _layer_file(tmp_path, kind):
     """A 6x6 matx matrix, or an RNN or LSTM checkpoint with a pruned mask.  Each
-    holds kept exact zeros and negative zeros; the LSTM's W_hh f gate keeps no edge."""
+    holds kept exact zeros and negative zeros; the LSTM's W_hh f gate keeps no edge.
+    The underflow kinds hold UNDERFLOW: as a matx matrix, or as the g gate block of an
+    LSTM checkpoint with hidden size 2 and a full mask."""
     rng = np.random.default_rng(61)
+    if kind == "underflow-matx":
+        path = tmp_path / "underflow.matx"
+        save_matrix_text(UNDERFLOW, path)
+        return path
+    if kind == "underflow-lstm":
+        params = init_params(3, 2, 2, LSTM, seed=63)
+        params.w_hh[4:6] = UNDERFLOW
+        path = tmp_path / "underflow.ckpt"
+        save_checkpoint(path, params, PruneMask.full(params))
+        return path
     if kind == "matx":
         W = rng.standard_normal((6, 6))
         W[0, :2] = 0.0, -0.0
@@ -218,14 +234,19 @@ def _reports_of_fresh_copies(path, layers, modes):
 @pytest.mark.parametrize("mode, modes", [("weighted", ("weighted",)),
                                          ("unweighted", ("unweighted",)),
                                          ("both", ("weighted", "unweighted"))])
-@pytest.mark.parametrize("kind", ["matx", RNN, LSTM])
+@pytest.mark.parametrize("kind", ["matx", RNN, LSTM, "underflow-matx", "underflow-lstm"])
 def test_analyze_reports_what_build_bipartite_gives_on_a_fresh_copy(
         tmp_path, capsys, kind, mode, modes, layer, layers):
     path = _layer_file(tmp_path, kind)
     code, out, err = run_cli(capsys, "analyze", str(path), "--mode", mode, "--layer", layer,
                              "--per-gate")
     assert (code, err) == (0, "")
-    assert json.loads(out)["reports"] == _reports_of_fresh_copies(path, layers, modes)
+    reports = json.loads(out)["reports"]
+    assert reports == _reports_of_fresh_copies(path, layers, modes)
+    # the unweighted graph keeps the edge that the weighted report's division loses
+    d_avg = {r["layer"]: r.get("d_avg") for r in reports if r["mode"] == "unweighted"}
+    for label in {"underflow-matx": ["matrix"], "underflow-lstm": ["w_hh[g]"]}.get(kind, []):
+        assert d_avg.get(label, 1.5) == 1.5
 
 
 @pytest.mark.parametrize("kind", ["matx", RNN, LSTM])
@@ -240,15 +261,18 @@ def test_analyze_and_unroll_leave_the_file_they_read_as_it_was(tmp_path, capsys,
         assert (path.read_bytes(), path.stat().st_mtime_ns) == before
 
 
-def test_analyze_holds_no_copy_of_a_layer_beside_its_weights(tmp_path, capsys):
-    # each graph is built in the weights read from the file, so beside them
-    # the peak holds alpha2's normalized block and little else
+@pytest.mark.parametrize("flags, bound", [([], 1.6), (["--per-gate"], 1.9)],
+                         ids=["layer", "per-gate"])
+def test_analyze_holds_no_copy_of_a_layer_beside_its_weights(tmp_path, capsys, flags, bound):
+    # the layer's graph is built in the weights read from the file and its report
+    # normalizes it there, so beside them the peak holds the layer's one-byte support,
+    # and with --per-gate one gate block's copy
     params = init_params(4, 256, 2, LSTM, seed=64)
     ckpt = tmp_path / "h256.ckpt"
     save_checkpoint(ckpt, params, PruneMask.full(params))
-    code, peak = traced_peak(main, ["analyze", str(ckpt), "--layer", "whh"])
+    code, peak = traced_peak(main, ["analyze", str(ckpt), "--layer", "whh", *flags])
     capsys.readouterr()
-    assert code == 0 and peak <= 2.6 * params.w_hh.nbytes
+    assert code == 0 and peak <= bound * params.w_hh.nbytes
 
 
 def _checkpoint_with_empty_bias(path, bias):
@@ -737,6 +761,27 @@ def test_report_refuses_an_svg_path_it_cannot_use_and_writes_nothing(tmp_path, c
                              "--out", str(figure))
     assert (code, out, err) == (2, "", f"error: {fault.format(figure=figure)}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("name, out, refused", [
+    ("trajectory.jsonl", "trajectory.jsonl", "trajectory.jsonl"),
+    ("trajectory.jsonl", "./sub/../trajectory.jsonl", "./sub/../trajectory.jsonl"),
+    ("trajectory.jsonl", "link.svg", "link.svg"),
+    ("t.csv", None, "t.csv"),
+], ids=["svg-is-input", "svg-spelled-otherwise", "svg-links-to-input", "csv-is-input"])
+def test_report_refuses_to_overwrite_the_trajectory_it_reads(tmp_path, capsys, name, out,
+                                                             refused):
+    tiny_run(tmp_path / "run")
+    path = tmp_path / name
+    shutil.copyfile(tmp_path / "run" / "trajectory.jsonl", path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.svg").symlink_to(path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    argv = ["report", str(path)] + ([] if out is None else ["--out", str(tmp_path / out)])
+    code, stdout, err = run_cli(capsys, *argv)
+    fault = f"EDOMAIN: {tmp_path / refused}: the report would overwrite the trajectory it reads"
+    assert (code, stdout, err) == (2, "", f"error: {fault}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 def test_a_second_writer_is_refused_while_the_first_holds_the_directory(tmp_path, capsys):

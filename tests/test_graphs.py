@@ -204,16 +204,22 @@ def laplacian_alpha2(B):
 
 def test_alpha2_from_block_matches_full_laplacian():
     rng = np.random.default_rng(41)
-    for trial in range(30):
+    for trial in range(45):
         m, n = int(rng.integers(1, 30)), int(rng.integers(1, 30))
         B = rng.random((m, n)) * (rng.random((m, n)) < rng.uniform(0.05, 0.9))
-        B[rng.random(m) < 0.2] = 0.0  # isolated rows
-        B[:, rng.random(n) < 0.2] = 0.0  # isolated columns
+        if trial < 30:
+            B[rng.random(m) < 0.2] = 0.0  # isolated rows
+            B[:, rng.random(n) < 0.2] = 0.0  # isolated columns
+        else:  # an edge at every row and column: alpha2 divides the block in place
+            B[np.arange(m), rng.integers(0, n, m)] = rng.random(m) + 0.01
+            B[rng.integers(0, m, n), np.arange(n)] = rng.random(n) + 0.01
+            assert B.sum(axis=1).all() and B.sum(axis=0).all()
         if not B.any():
             continue
         for mode in (WEIGHTED, UNWEIGHTED):
             g = build_bipartite(B, None, mode)
-            assert abs(normalized_laplacian_alpha2(g) - laplacian_alpha2(g.biadjacency)) <= 1e-12
+            want = laplacian_alpha2(g.biadjacency)  # before alpha2 uses g up
+            assert abs(normalized_laplacian_alpha2(g) - want) <= 1e-12
 
 
 def test_alpha2_star_single_edge_and_disconnected():
@@ -386,6 +392,20 @@ def test_alpha2_in_place_divisions_keep_the_bits():
         before = B.copy()
         assert bipartite_alpha2(B) == two_temporary_alpha2(B)
         assert np.array_equal(B, before)  # the caller's block is left alone
+        # a layer graph's alpha2 may divide its own block, in either memory order
+        # (which orders the degree sums)
+        for order in "CF":
+            owned = BipartiteGraph(B.copy(order=order), WEIGHTED)
+            assert normalized_laplacian_alpha2(owned) == two_temporary_alpha2(
+                before.copy(order=order))
+
+
+def test_a_report_leaves_a_block_it_cannot_write_as_it_was():
+    B = np.random.default_rng(46).random((5, 4)) + 0.01
+    before = B.copy()
+    B.setflags(write=False)
+    assert spectral_gaps(BipartiteGraph(B, WEIGHTED)) == spectral_gaps(build_bipartite(B))
+    assert np.array_equal(B, before)
 
 
 def test_alpha2_reads_any_real_dtype_as_float64():
